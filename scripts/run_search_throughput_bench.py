@@ -11,7 +11,7 @@ Usage::
 For every selected model the record compares the reference evaluation
 path, the incremental engine (fitness memo, weight/activation quant
 caches, fused BN recalibration, prefix-reuse forwards), and the parallel
-population executors (``repro.parallel``) on the same search, asserting
+worker-pool backends (``repro.parallel``) on the same search, asserting
 the trajectories stay bitwise identical.  The ``multi_job`` section
 additionally compares two jobs run back-to-back against the
 ``repro.serve`` shared-pool scheduler, and the ``transport`` section

@@ -18,7 +18,7 @@ the engine then filters them through two escape hatches:
 
 Rules come from the ``lint_rule`` registry family
 (:mod:`repro.spec.registry`), so downstream code can register extra
-project rules the same way it registers objectives or executors.
+project rules the same way it registers objectives or pool backends.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class ModuleSource:
 
     @property
     def dotted(self) -> str:
-        """Dotted module name (``repro.serve.pool``) when under src/."""
+        """Dotted module name (``repro.parallel.pool``) when under src/."""
         parts = Path(self.path).with_suffix("").parts
         if parts and parts[0] == "src":
             parts = parts[1:]

@@ -3,7 +3,7 @@
 Importing this package (the family's bootstrap module) registers every
 built-in rule; :func:`repro.analysis.engine.default_rules` instantiates
 them through the registry, so downstream code can add project rules the
-same way it adds objectives or executors:
+same way it adds objectives or pool backends:
 
     from repro.spec import registry
     registry.register("lint_rule", "my-rule", MyRule)

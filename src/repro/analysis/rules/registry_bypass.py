@@ -1,19 +1,19 @@
 """``registry-bypass``: resolve pluggable components through registries.
 
-Where a :mod:`repro.spec.registry` family exists (executors, shared
-pools, format families, objectives), importing a concrete
-implementation across subsystem boundaries re-couples what the registry
-decoupled: the importing module works for the built-in but breaks for
-every registered extension, and spec JSON stops being the single
-switch.  The rule flags ``from repro.X import ConcreteImpl`` (absolute
+Where a :mod:`repro.spec.registry` family exists (worker pools, format
+families, objectives), importing a concrete implementation across
+subsystem boundaries re-couples what the registry decoupled: the
+importing module works for the built-in but breaks for every
+registered extension, and spec JSON stops being the single switch.
+The rule flags ``from repro.X import ConcreteImpl`` (absolute
 or relative) whenever the importing module lives outside the
 implementation's home package.  The sanctioned paths are
 ``registry.resolve(family, name)``, ``ExecutorConfig``,
 ``make_shared_pool`` and ``calibrated_format``/``make_format``.
 
 Registry *factories* that must import the concrete class they construct
-(e.g. the deferred ``RemoteExecutor`` import inside the ``remote``
-executor factory) carry a disable comment naming that role.
+(e.g. the deferred ``SharedRemotePool`` import inside the ``remote``
+pool factory) carry a disable comment naming that role.
 """
 
 from __future__ import annotations
@@ -28,15 +28,11 @@ __all__ = ["RegistryBypassRule", "CONCRETE_IMPLS"]
 #: concrete implementation name -> (registry family, home packages that
 #: may import it directly).  Everything else goes through the registry.
 CONCRETE_IMPLS: dict[str, tuple[str, tuple[str, ...]]] = {
-    # executor family (ExecutorConfig / registry("executor"))
-    "SerialExecutor": ("executor", ("repro.parallel",)),
-    "ThreadExecutor": ("executor", ("repro.parallel",)),
-    "ProcessExecutor": ("executor", ("repro.parallel",)),
-    "RemoteExecutor": ("executor", ("repro.serve",)),
-    # shared_pool family (make_shared_pool / registry("shared_pool"))
-    "SharedSerialPool": ("shared_pool", ("repro.serve",)),
-    "SharedThreadPool": ("shared_pool", ("repro.serve",)),
-    "SharedProcessPool": ("shared_pool", ("repro.serve",)),
+    # shared_pool family (ExecutorConfig / make_shared_pool); repro.serve
+    # re-exports the in-process pools
+    "SharedSerialPool": ("shared_pool", ("repro.parallel", "repro.serve")),
+    "SharedThreadPool": ("shared_pool", ("repro.parallel", "repro.serve")),
+    "SharedProcessPool": ("shared_pool", ("repro.parallel", "repro.serve")),
     "SharedRemotePool": ("shared_pool", ("repro.serve",)),
     # format_family (calibrated_format / make_format)
     "IntFormat": ("format_family", ("repro.numerics",)),

@@ -7,12 +7,17 @@ batch.  This package fans population slices out across worker replicas:
 * :class:`EvaluatorSpec` — picklable recipe (model source, calibration
   state, config) that every worker builds its private evaluator from;
 * :class:`PopulationEvaluator` — the batched evaluator the GA engine
-  talks to: memo-dedupes candidates, fans the rest out, returns results
-  in submission order;
-* :class:`ExecutorConfig` + ``serial`` / ``thread`` / ``process`` /
-  ``remote`` executors — interchangeable backends with deterministic
-  ordering and perf-snapshot merging (worker cache hit-rates stay
-  truthful).  The remote backend fans out to TCP workers
+  talks to: memo-dedupes candidates, fans the rest out on a one-job
+  worker pool, returns results in submission order;
+* :class:`ExecutorConfig` — backend selection: ``serial`` / ``thread``
+  / ``process`` / ``remote``;
+* :class:`WorkerPool` and :func:`make_shared_pool` — the one worker
+  abstraction behind every backend (:mod:`repro.parallel.pool`):
+  tagged chunks in, :class:`ChunkResult` messages out, one replica per
+  job per worker, perf-snapshot deltas merged by the caller (worker
+  cache hit-rates stay truthful).  A single search runs a one-job
+  pool; :class:`repro.serve.SearchScheduler` runs many jobs on one.
+  The remote backend fans out to TCP workers
   (:mod:`repro.serve.remote`) addressed by ``host:port``.
 
 The hard guarantee mirrors the incremental engine's: every backend
@@ -31,24 +36,20 @@ from .evaluator import EvaluatorReplica, EvaluatorSpec, PopulationEvaluator
 from .executor import (
     BACKENDS,
     ExecutorConfig,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
     parse_address,
     parse_address_list,
 )
+from .pool import ChunkResult, WorkerPool, make_shared_pool
 
 __all__ = [
     "BACKENDS",
+    "ChunkResult",
     "EvaluatorReplica",
     "EvaluatorSpec",
     "ExecutorConfig",
     "PopulationEvaluator",
-    "ProcessExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "make_executor",
+    "WorkerPool",
+    "make_shared_pool",
     "parse_address",
     "parse_address_list",
 ]

@@ -17,13 +17,15 @@ every backend produces bitwise-identical fitness values.
 
 :class:`PopulationEvaluator` is what the GA engine talks to: a callable
 with ``evaluate_many`` that dedupes candidates against a population-level
-memo and fans the rest out through an executor backend, returning results
+memo and fans the rest out on a one-job worker pool, returning results
 in submission order.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
+import queue
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -40,6 +42,7 @@ from ..quant import (  # lint: disable=registry-bypass -- EvaluatorSpec.build is
     collect_layer_stats,
     derive_activation_params,
 )
+from .executor import ExecutorConfig
 
 __all__ = ["EvaluatorSpec", "EvaluatorReplica", "PopulationEvaluator"]
 
@@ -140,26 +143,38 @@ class EvaluatorReplica:
 
 
 class PopulationEvaluator:
-    """Batched candidate evaluation across an executor backend.
+    """Batched candidate evaluation on a one-job worker pool.
 
     The GA engine submits whole population slices through
     ``evaluate_many``; duplicates (common under crossover) are deduped
-    against a population-level memo before any work is fanned out, and
-    results come back in submission order regardless of which worker
-    finished first.  ``__call__`` keeps the single-candidate evaluator
-    interface working.
+    against a population-level memo before any work is fanned out.  The
+    rest go to the :class:`~repro.parallel.pool.WorkerPool` that
+    ``executor`` selects (:func:`~repro.parallel.pool.make_shared_pool`)
+    as one chunk per candidate.  Results are reassembled by chunk tag,
+    so they come back in submission order regardless of which worker
+    finished first, and each worker replica's perf-registry delta is
+    merged into the ambient registry in that same order — counters and
+    cache hit-rates stay truthful after a fan-out.  ``__call__`` keeps
+    the single-candidate evaluator interface working.
 
     Use as a context manager (or call :meth:`close`) to shut worker
     pools down deterministically.
     """
 
-    def __init__(self, spec: EvaluatorSpec, executor=None, perf=None) -> None:
-        from .executor import ExecutorConfig, make_executor
+    _JOB = "job0"
+
+    def __init__(self, spec: EvaluatorSpec, executor=None) -> None:
+        # deferred import: the pool module builds on this one
+        from .pool import make_shared_pool
 
         self.spec = spec
         self.executor_config = executor or ExecutorConfig()
-        self.perf = perf if perf is not None else get_perf()
-        self._executor = make_executor(spec, self.executor_config, self.perf)
+        self.perf = get_perf()
+        self._results: queue.SimpleQueue = queue.SimpleQueue()
+        self._pool = make_shared_pool(
+            {self._JOB: spec}, self.executor_config, self._results
+        )
+        self._seq = itertools.count()
         self._memo: dict[QuantSolution, float] = {}
         #: evaluations requested (memo hits included)
         self.evaluations = 0
@@ -172,7 +187,7 @@ class PopulationEvaluator:
 
     @property
     def workers(self) -> int:
-        return self._executor.workers
+        return self._pool.workers
 
     def __call__(self, solution: QuantSolution, act_params=None) -> float:
         if act_params is not None:
@@ -195,15 +210,36 @@ class PopulationEvaluator:
                 unique.append(sol)
         if unique:
             with self.perf.timer("population.evaluate_batch").time():
-                fits = self._executor.evaluate_batch(unique)
+                fits = self._evaluate_batch(unique)
             for sol, fit in zip(unique, fits):
                 self._memo[sol] = fit
             self.computed_evaluations += len(unique)
         self.evaluations += len(solutions)
         return [self._memo[sol] for sol in solutions]
 
+    def _evaluate_batch(self, solutions: list[QuantSolution]) -> list[float]:
+        seq = next(self._seq)
+        for idx, solution in enumerate(solutions):
+            self._pool.submit(self._JOB, seq, idx, [solution])
+        chunks = {}
+        while len(chunks) < len(solutions):
+            result = self._results.get()
+            if result.seq != seq:
+                continue  # stale result of a batch that already raised
+            chunks[result.chunk] = result
+        fits = []
+        for idx in range(len(solutions)):
+            result = chunks[idx]
+            if result.error is not None:
+                raise RuntimeError(
+                    f"{self.backend} evaluation failed:\n{result.error}"
+                )
+            self.perf.merge_snapshot(result.perf_delta)
+            fits.extend(result.fits)
+        return fits
+
     def close(self) -> None:
-        self._executor.close()
+        self._pool.close()
 
     def __enter__(self) -> "PopulationEvaluator":
         return self

@@ -1,24 +1,24 @@
-"""Shared multi-job executor pools for the search scheduler.
+"""Worker pools: the one evaluation backend of every LPQ search.
 
-The :mod:`repro.parallel` executors bind one pool to one
-:class:`~repro.parallel.EvaluatorSpec`: every worker builds a single
-replica at startup and all tasks score candidates for that one search.
-A :class:`repro.serve.SearchScheduler` instead keeps *many* searches in
-flight, so its pools multiplex: every task is tagged with a job id, and
-each worker lazily builds (and keeps) one replica *per job* it has seen
-— the same worker scores candidates for a ResNet search and a ViT
-search back to back, each against that job's own model copy, caches,
-and private perf registry.
+Every search scores its candidates on a :class:`WorkerPool`.  A single
+search (:class:`~repro.parallel.PopulationEvaluator`, behind
+:func:`repro.quant.lpq_quantize`'s ``executor`` knob) runs a one-job
+pool; a :class:`repro.serve.SearchScheduler` keeps *many* searches in
+flight on one pool.  Pools therefore multiplex: every task is tagged
+with a job id, and each worker lazily builds (and keeps) one replica
+*per job* it has seen — the same worker scores candidates for a ResNet
+search and a ViT search back to back, each against that job's own
+model copy, caches, and private perf registry.
 
 **The WorkerPool protocol.**  Every pool implements the same small,
 transport-agnostic API (:class:`WorkerPool`): ``submit(job, seq, chunk,
 solutions)`` hands one tagged chunk to the pool, results arrive on the
 caller-supplied queue as :class:`ChunkResult` messages, and
 ``start``/``close``/``workers``/``healthy`` manage the pool's
-lifecycle.  The scheduler codes against this protocol only, so a
-backend living across a socket is interchangeable with one living in a
-thread.  Backends register in the ``shared_pool`` component registry
-(:mod:`repro.spec.registry`) under the same names
+lifecycle.  Callers code against this protocol only, so a backend
+living across a socket is interchangeable with one living in a thread.
+Backends register in the ``shared_pool`` component registry
+(:mod:`repro.spec.registry`), the family
 :class:`~repro.parallel.ExecutorConfig` validates against:
 
 * ``serial`` — :class:`SharedSerialPool`: one in-process replica per
@@ -31,17 +31,20 @@ thread.  Backends register in the ``shared_pool`` component registry
   :class:`multiprocessing.pool.Pool` whose workers receive the full
   ``job → wire payload`` map at init and build replicas lazily per job
   on first task.  The payloads are plain JSON dicts
-  (:func:`repro.spec.wire.encode_job`) — no pickled evaluator objects
-  cross the pool boundary.  Only ``(job, candidates)`` and ``(fitness,
-  perf-delta)`` cross per task.
+  (:func:`repro.spec.wire.encode_job`); a job the wire codec cannot
+  name (an untagged model whose class needs constructor arguments)
+  falls back to its pickled :class:`~repro.parallel.EvaluatorSpec`.
+  Only ``(job, candidates)`` and ``(fitness, perf-delta)`` cross per
+  task.
 * ``remote`` — :class:`repro.serve.remote.SharedRemotePool`: the same
   wire payloads framed over TCP sockets to standalone workers
   (``scripts/run_worker.py``), with token handshake, heartbeat
-  liveness, and dead-worker requeue.
+  liveness, and dead-worker requeue.  Its factory imports the socket
+  stack only when a remote pool is actually built.
 
 All pools are *asynchronous at the submit boundary*: results arrive on
 a caller-supplied queue as :class:`ChunkResult` messages tagged with
-``(job, seq, chunk)``, so the scheduler reassembles each batch in
+``(job, seq, chunk)``, so the caller reassembles each batch in
 submission order no matter which worker finished first — completion
 order never reaches the search trajectory.  A task that raises reports
 an ``error`` string instead of poisoning the pool: the worker stays
@@ -58,9 +61,10 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from ..parallel import EvaluatorSpec, ExecutorConfig
 from ..perf import PerfRegistry, diff_snapshots
 from ..spec import registry as spec_registry
+from .evaluator import EvaluatorSpec
+from .executor import ExecutorConfig
 
 __all__ = [
     "ChunkResult",
@@ -75,7 +79,7 @@ __all__ = [
 
 @dataclass
 class ChunkResult:
-    """One evaluated chunk, delivered on the scheduler's result queue.
+    """One evaluated chunk, delivered on the caller's result queue.
 
     ``fits`` holds the fitness values in the chunk's submission order
     (``None`` on failure, with ``error`` carrying the worker traceback).
@@ -226,7 +230,7 @@ class SharedThreadPool(WorkerPool):
         for _ in range(workers):
             self._slots.put({})
         self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serve"
+            max_workers=workers, thread_name_prefix="repro-pool"
         )
 
     def submit(self, job: str, seq: int, chunk: int, solutions) -> None:
@@ -260,25 +264,31 @@ class SharedThreadPool(WorkerPool):
 
 # -- process backend ----------------------------------------------------
 # Worker state lives in module globals: each worker receives the full
-# job → wire-payload map (plain JSON dicts, repro.spec.wire) once at
-# init and reconstructs EvaluatorSpecs + replicas lazily per job.  A
-# payload whose replica fails to decode or build fails *its own job's*
-# tasks (the error travels back inside the result tuple) — the worker
+# job → wire-payload map (plain JSON dicts, repro.spec.wire), plus the
+# pickled specs of jobs the wire cannot name, once at init and
+# reconstructs EvaluatorSpecs + replicas lazily per job.  A payload
+# whose replica fails to decode or build fails *its own job's* tasks
+# (the error travels back inside the result tuple) — the worker
 # survives and keeps serving other jobs.
 _SHARED_WIRES: dict[str, dict] | None = None
+_SHARED_PICKLED: dict[str, EvaluatorSpec] | None = None
 _SHARED_STATE: dict[str, tuple] | None = None
 _SHARED_BLOBS = None
 _SHARED_BLOBS_ERROR: str | None = None
 
 
 def _init_shared_worker(wires: dict[str, dict],
-                        blob_table: dict | None = None) -> None:
-    global _SHARED_WIRES, _SHARED_STATE, _SHARED_BLOBS, _SHARED_BLOBS_ERROR
+                        blob_table: dict | None = None,
+                        pickled: dict[str, EvaluatorSpec] | None = None,
+                        ) -> None:
+    global _SHARED_WIRES, _SHARED_PICKLED, _SHARED_STATE
+    global _SHARED_BLOBS, _SHARED_BLOBS_ERROR
     # plain assignments first: a raising initializer would respawn
     # workers forever, so payload decoding and replica construction are
     # deferred to the first task per job, and a blob-table attach
     # failure is parked for the task to report
     _SHARED_WIRES = wires
+    _SHARED_PICKLED = pickled or {}
     _SHARED_STATE = {}
     _SHARED_BLOBS = None
     _SHARED_BLOBS_ERROR = None
@@ -289,6 +299,18 @@ def _init_shared_worker(wires: dict[str, dict],
             _SHARED_BLOBS = attach_transport_table(blob_table)
         except Exception:  # lint: disable=broad-except -- init failure is parked and re-raised with the first task
             _SHARED_BLOBS_ERROR = traceback.format_exc()
+
+
+def _shared_job_spec(job: str) -> EvaluatorSpec:
+    """The job's spec as shipped pickled, else decoded from its wire
+    payload (a fresh decode: nothing keeps it once the replica is
+    built)."""
+    spec = _SHARED_PICKLED.get(job)
+    if spec is None:
+        from ..spec.wire import decode_job
+
+        spec = decode_job(_SHARED_WIRES[job], blobs=_SHARED_BLOBS)
+    return spec
 
 
 def _evaluate_shared_chunk(job: str, solutions):
@@ -303,13 +325,8 @@ def _evaluate_shared_chunk(job: str, solutions):
             )
         entry = _SHARED_STATE.get(job)
         if entry is None:
-            from ..spec.wire import decode_job
-
-            # the worker owns everything it decodes from the wire
-            entry = _build_entry(
-                decode_job(_SHARED_WIRES[job], blobs=_SHARED_BLOBS),
-                copy_model=False,
-            )
+            # the worker owns everything it decodes or unpickles
+            entry = _build_entry(_shared_job_spec(job), copy_model=False)
             _SHARED_STATE[job] = entry
         fits, delta = _evaluate_with_entry(entry, solutions)
         return fits, delta, time.perf_counter() - start, None
@@ -324,9 +341,11 @@ class SharedProcessPool(WorkerPool):
     async callbacks, which enqueue :class:`ChunkResult` messages.
 
     ``wires`` maps job names to the plain-JSON payloads of
-    :func:`repro.spec.wire.encode_job`; they are the *only* job state
-    handed to workers (``self.wires`` is kept for inspection — the
-    protocol tests round-trip it through ``json.dumps``/``loads``).
+    :func:`repro.spec.wire.encode_job` (``self.wires`` is kept for
+    inspection — the protocol tests round-trip it through
+    ``json.dumps``/``loads``).  ``pickled`` maps the names of jobs the
+    wire cannot name to their :class:`~repro.parallel.EvaluatorSpec`,
+    which then reaches the workers through the pool's own pickling.
 
     ``blobs`` (the :class:`~repro.spec.blob.BlobStore` the wires were
     encoded against) switches on zero-copy transport: the store is
@@ -344,6 +363,7 @@ class SharedProcessPool(WorkerPool):
         results: queue.SimpleQueue,
         start_method: str | None = None,
         blobs=None,
+        pickled: dict[str, EvaluatorSpec] | None = None,
     ) -> None:
         self.workers = workers
         self.wires = dict(wires)
@@ -363,7 +383,7 @@ class SharedProcessPool(WorkerPool):
         self._pool = ctx.Pool(
             processes=workers,
             initializer=_init_shared_worker,
-            initargs=(self.wires, blob_table),
+            initargs=(self.wires, blob_table, pickled),
         )
 
     def submit(self, job: str, seq: int, chunk: int, solutions) -> None:
@@ -427,24 +447,23 @@ def make_shared_pool(
     results: queue.SimpleQueue,
     search_specs: dict | None = None,
 ) -> WorkerPool:
-    """Build and start the shared pool selected by ``config`` (same
-    :class:`~repro.parallel.ExecutorConfig` as single-job executors).
+    """Build and start the pool selected by ``config``.
 
     The serial and thread pools share this process's memory and use the
     live specs directly; the process and remote pools serialize — their
     jobs travel as the plain-JSON wire payloads of
-    :func:`encode_pool_wires`.  Backends dispatch through the
-    ``shared_pool`` registry (:mod:`repro.spec.registry`), so a
-    registered extension backend — a factory ``(specs, config, results,
-    search_specs) -> WorkerPool`` — slots in next to the built-in four.
+    :func:`encode_pool_wires` (the process pool pickles the specs the
+    wire cannot name).  Backends dispatch through the ``shared_pool``
+    registry (:mod:`repro.spec.registry`), so a registered extension
+    backend — a factory ``(specs, config, results, search_specs) ->
+    WorkerPool`` — slots in next to the built-in four, and
+    :class:`~repro.parallel.ExecutorConfig` accepts its name.
     """
     factory = spec_registry.resolve("shared_pool", config.backend)
     return factory(specs, config, results, search_specs).start()
 
 
-# -- the built-in in-process backends ------------------------------------
-# (the remote backend registers from repro.serve.remote, the second
-# bootstrap module of the shared_pool registry family)
+# -- the built-in backends, in canonical order ---------------------------
 spec_registry.register(
     "shared_pool",
     "serial",
@@ -459,19 +478,54 @@ spec_registry.register(
         specs, config.resolved_workers(), results
     ),
 )
+
+
 def _make_shared_process_pool(specs, config, results, search_specs):
     from ..spec.blob import get_blob_store
+    from ..spec.wire import encode_job
 
     # encode against the process-global store: re-submitted jobs dedupe
     # their tensors (blob hits) and reuse already-exported shm segments
     blobs = get_blob_store()
+    search_specs = search_specs or {}
+    wires: dict[str, dict] = {}
+    pickled: dict[str, EvaluatorSpec] = {}
+    for name, spec in specs.items():
+        try:
+            wires[name] = encode_job(spec, search_specs.get(name),
+                                     blobs=blobs)
+        except ValueError:
+            pickled[name] = spec  # not wire-encodable: pickle the spec
     return SharedProcessPool(
-        encode_pool_wires(specs, search_specs, blobs=blobs),
+        wires,
         config.resolved_workers(),
         results,
         start_method=config.start_method,
-        blobs=blobs,
+        blobs=blobs if wires else None,
+        pickled=pickled,
     )
 
 
 spec_registry.register("shared_pool", "process", _make_shared_process_pool)
+
+
+def _make_shared_remote_pool(specs, config, results, search_specs):
+    # deferred imports: the socket transport builds on repro.serve,
+    # which builds on this package, and costs its import only when a
+    # remote pool is actually built
+    from ..serve.remote import SharedRemotePool  # lint: disable=registry-bypass -- this IS the registered 'remote' pool factory
+    from ..spec.blob import get_blob_store
+
+    blobs = get_blob_store()
+    return SharedRemotePool(
+        encode_pool_wires(specs, search_specs, blobs=blobs),
+        config.addresses,
+        results,
+        token=config.token,
+        blobs=blobs,
+        retry=config.retry,
+        on_fleet_death=config.on_fleet_death,
+    )
+
+
+spec_registry.register("shared_pool", "remote", _make_shared_remote_pool)

@@ -26,7 +26,7 @@ high-resolution layers dominate: the deeper the first changed layer, the
 bigger the replayed prefix.
 
 The ``multi_job`` section measures the :mod:`repro.serve` scheduler: two
-search jobs run back-to-back (a dedicated executor pool each) and then
+search jobs run back-to-back (a dedicated one-job pool each) and then
 multiplexed onto one shared pool, whole-job wall clock both ways.  The
 shared pool must win on aggregate throughput while every per-job
 trajectory stays bitwise-identical to its back-to-back run.
@@ -719,7 +719,7 @@ def run_search_throughput_bench(
         record["chaos"] = _chaos_section(
             models[0], calib, config, seed, tuple(chaos_plans)
         )
-    # worker counts each executor *actually* used (SerialExecutor is
+    # worker counts each backend *actually* used (the serial pool is
     # always 1 regardless of --workers); identical across models
     first_backends = record["models"][models[0]]["backends"]
     record["workers"] = {

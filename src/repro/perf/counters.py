@@ -164,7 +164,7 @@ class PerfRegistry:
     def merge_snapshot(self, snap: dict) -> None:
         """Accumulate another registry's snapshot into this one.
 
-        Used by the parallel population executors: worker replicas record
+        Used by the worker pools (:mod:`repro.parallel.pool`): replicas record
         into private registries and ship snapshot *deltas* back with each
         result, so counters, timers, and cache hit-rates stay truthful
         after a fan-out (a worker's cache hit is still a cache hit).

@@ -17,11 +17,11 @@ searches share that machinery:
   (the paper's Table 1 / Fig. 5 zoo sweeps), returning a
   ``{name: LPQResult}`` map.  Accepts live models or a fleet of
   :class:`~repro.spec.SearchSpec` values.
-* :mod:`repro.serve.pool` — the shared multi-job executor backends
-  behind one transport-agnostic :class:`WorkerPool` protocol
-  (``submit``/``start``/``close``/``workers``/``healthy``).  The
-  process pool's job payloads are plain JSON (:mod:`repro.spec.wire`),
-  never pickled evaluator objects.
+* :mod:`repro.parallel.pool` (re-exported here) — the multi-job
+  worker pools behind one transport-agnostic :class:`WorkerPool`
+  protocol (``submit``/``start``/``close``/``workers``/``healthy``).
+  The process pool's job payloads are plain JSON
+  (:mod:`repro.spec.wire`).
 * :mod:`repro.serve.remote` — the same payloads across TCP sockets:
   standalone :class:`~repro.serve.remote.WorkerServer` workers
   (``scripts/run_worker.py``) and the
@@ -55,7 +55,7 @@ to a standalone :func:`repro.quant.lpq_quantize` run with the same
 seed, on every backend at any worker count — one host or many.
 """
 
-from .pool import (
+from ..parallel.pool import (
     ChunkResult,
     SharedProcessPool,
     SharedSerialPool,

@@ -1,25 +1,24 @@
 """Socket transport for the WorkerPool protocol: remote LPQ workers.
 
-This module takes the one step ROADMAP left open after PR 4: jobs
-already cross the pool boundary as plain-JSON wire payloads
-(:func:`repro.spec.wire.encode_job`), so here those payloads cross a
-TCP socket instead of a process-pool pipe.  Three pieces:
+Jobs already cross the process-pool boundary as plain-JSON wire
+payloads (:func:`repro.spec.wire.encode_job`); here those payloads
+cross a TCP socket instead of a process-pool pipe.  Two pieces:
 
 * :class:`WorkerServer` — a long-lived standalone worker: accepts
   client connections, verifies the token handshake, registers job
   payloads, and evaluates candidate chunks against lazily-built
-  replicas (exactly the :class:`~repro.serve.SharedProcessPool` worker
-  loop, behind a socket).  ``scripts/run_worker.py`` is its CLI.
+  replicas (exactly the :class:`~repro.parallel.pool.SharedProcessPool`
+  worker loop, behind a socket).  ``scripts/run_worker.py`` is its CLI.
 * :class:`SharedRemotePool` — the client side of the
-  :class:`~repro.serve.WorkerPool` protocol: connects to a fleet of
-  workers, streams :class:`~repro.serve.ChunkResult` messages back to
-  the scheduler's queue as they complete, heartbeats every connection,
+  :class:`~repro.parallel.WorkerPool` protocol: connects to a fleet of
+  workers, streams :class:`~repro.parallel.ChunkResult` messages back
+  to the caller's queue as they complete, heartbeats every connection,
   and requeues the in-flight chunks of a dead worker onto the
   survivors (evaluation is deterministic and side-effect-free, so a
-  re-run chunk returns bit-identical fitness values).
-* :class:`RemoteExecutor` — the single-search adapter that makes
-  ``ExecutorConfig(backend="remote", addresses=[...])`` work through
-  :func:`repro.quant.lpq_quantize` unchanged.
+  re-run chunk returns bit-identical fitness values).  It is the
+  ``remote`` backend of ``make_shared_pool``, so
+  ``ExecutorConfig(backend="remote", addresses=[...])`` works through
+  :func:`repro.quant.lpq_quantize` and the scheduler alike.
 
 Framing is the length-prefixed JSON of :mod:`repro.spec.wire`
 (:func:`~repro.spec.wire.frame_message` / ``read_frame``); every
@@ -63,10 +62,15 @@ import traceback
 import warnings
 
 from ..obs import MetricsEmitter, get_hub
-from ..parallel import EvaluatorSpec, ExecutorConfig, parse_address
+from ..parallel import parse_address
+from ..parallel.pool import (
+    ChunkResult,
+    WorkerPool,
+    _build_entry,
+    _evaluate_with_entry,
+)
 from ..perf import PerfRegistry
-from ..spec import registry as spec_registry
-from ..spec.blob import BlobStore, get_blob_store
+from ..spec.blob import BlobStore
 from ..spec.wire import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -88,19 +92,11 @@ from ..spec.wire import (
     task_message,
     welcome_message,
 )
-from .pool import (
-    ChunkResult,
-    WorkerPool,
-    _build_entry,
-    _evaluate_with_entry,
-    encode_pool_wires,
-)
 from .resilience import RetryPolicy
 
 __all__ = [
     "WorkerServer",
     "SharedRemotePool",
-    "RemoteExecutor",
     "local_worker_fleet",
 ]
 
@@ -1492,87 +1488,3 @@ class SharedRemotePool(WorkerPool):
                 # a remote worker beat the fallback to it (identical
                 # payload): count the duplicate, deliver nothing
                 self.perf.counter("fault.duplicate_results").inc()
-
-
-# -- single-search adapter ------------------------------------------------
-class RemoteExecutor:
-    """Remote backend for single-search executors
-    (:func:`repro.parallel.make_executor`).
-
-    Adapts one :class:`~repro.parallel.EvaluatorSpec` onto a
-    :class:`SharedRemotePool` with a single job: ``evaluate_batch``
-    submits one chunk per candidate (matching the process backend's
-    ``chunksize=1`` dispatch), reassembles results by chunk tag, and
-    merges worker perf deltas in submission order — so
-    ``lpq_quantize(..., executor=ExecutorConfig("remote",
-    addresses=[...]))`` is bitwise-identical to the serial backend.
-    """
-
-    _JOB = "job0"
-
-    def __init__(self, spec: EvaluatorSpec, config: ExecutorConfig,
-                 perf) -> None:
-        self.perf = perf
-        self._results: queue.SimpleQueue = queue.SimpleQueue()
-        # encode against the process-global blob store: a spec
-        # re-submitted to a warm fleet dedupes its tensors (blob hits
-        # client-side, cached acks worker-side)
-        blobs = get_blob_store()
-        self._pool = SharedRemotePool(
-            encode_pool_wires({self._JOB: spec}, blobs=blobs),
-            config.addresses,
-            self._results,
-            token=config.token,
-            blobs=blobs,
-            perf=perf,
-            retry=config.retry,
-            on_fleet_death=config.on_fleet_death,
-        ).start()
-        self._seq = itertools.count()
-
-    @property
-    def workers(self) -> int:
-        return self._pool.workers
-
-    def evaluate_batch(self, solutions) -> list[float]:
-        solutions = list(solutions)
-        seq = next(self._seq)
-        for idx, solution in enumerate(solutions):
-            self._pool.submit(self._JOB, seq, idx, [solution])
-        chunks: dict[int, ChunkResult] = {}
-        while len(chunks) < len(solutions):
-            result = self._results.get()
-            if result.seq != seq:
-                continue  # stale result of a batch that already raised
-            chunks[result.chunk] = result
-        fits = []
-        for idx in range(len(solutions)):
-            result = chunks[idx]
-            if result.error is not None:
-                raise RuntimeError(
-                    f"remote evaluation failed:\n{result.error}"
-                )
-            self.perf.merge_snapshot(result.perf_delta)
-            fits.extend(result.fits)
-        return fits
-
-    def close(self) -> None:
-        self._pool.close()
-
-
-# the socket transport is the fourth shared-pool backend; the serial /
-# thread / process factories live in repro.serve.pool
-def _make_shared_remote_pool(specs, config, results, search_specs):
-    blobs = get_blob_store()
-    return SharedRemotePool(
-        encode_pool_wires(specs, search_specs, blobs=blobs),
-        config.addresses,
-        results,
-        token=config.token,
-        blobs=blobs,
-        retry=config.retry,
-        on_fleet_death=config.on_fleet_death,
-    )
-
-
-spec_registry.register("shared_pool", "remote", _make_shared_remote_pool)

@@ -3,7 +3,7 @@
 One :class:`SearchScheduler` holds any number of LPQ search *jobs*
 (model × :class:`~repro.quant.FitnessConfig` × search budget) and
 drives them concurrently over a single shared executor
-(:mod:`repro.serve.pool`).  Each job is an
+(:mod:`repro.parallel.pool`).  Each job is an
 :class:`~repro.quant.LPQEngine` driven through its
 :meth:`~repro.quant.LPQEngine.work_units` coroutine: the engine yields
 candidate batches (the Step-1 population first, then one batch per GA
@@ -34,7 +34,7 @@ import queue
 import traceback
 from dataclasses import dataclass, field
 
-from ..parallel import EvaluatorSpec, ExecutorConfig
+from ..parallel import EvaluatorSpec, ExecutorConfig, make_shared_pool
 from ..perf import PerfRegistry, diff_snapshots, get_perf
 from ..quant import (
     LPQConfig,
@@ -45,7 +45,6 @@ from ..quant import (
     collect_layer_stats,
     derive_activation_params,
 )
-from .pool import make_shared_pool
 
 __all__ = ["SearchHandle", "SearchScheduler"]
 
@@ -361,7 +360,7 @@ class SearchScheduler:
         flight, and evaluation totals; plus the pool-wide queue depth
         (every job's outstanding chunks summed), the current worker
         parallelism, and per-worker fleet membership
-        (:meth:`~repro.serve.pool.WorkerPool.membership`, non-empty on
+        (:meth:`~repro.parallel.pool.WorkerPool.membership`, non-empty on
         the remote backend).  Lock-free by design — values may be one
         batch stale, and reading them never perturbs a running search
         (the daemon's ``fleet_status`` op is built on exactly this).

@@ -2,8 +2,8 @@
 
 Every pluggable component family the public API used to select through
 an ad-hoc lookup table — objectives (``repro.quant.objectives``), format
-families and spec-string parsers (``repro.numerics.registry``), executor
-backends (``repro.parallel.executor``), models (``repro.models.zoo``,
+families and spec-string parsers (``repro.numerics.registry``), worker
+pool backends (``repro.parallel.pool``), models (``repro.models.zoo``,
 ``repro.perf.bench``) and calibration sources (``repro.data``) — now
 registers itself into one :class:`Registry` per family.  A registry maps
 *names* (plain JSON strings) to live components, which is what lets a
@@ -19,7 +19,7 @@ register the built-in components), so resolution works regardless of
 import order:
 
 >>> from repro.spec import registry
->>> registry.names("executor")
+>>> registry.names("shared_pool")
 ('serial', 'thread', 'process', 'remote')
 >>> registry.resolve("objective", "mse")
 'MSE'
@@ -155,10 +155,8 @@ REGISTRIES: dict[str, Registry] = {
     "format_parser": Registry(
         "format_parser", bootstrap=("repro.numerics.registry",)
     ),
-    "executor": Registry("executor", bootstrap=("repro.parallel.executor",)),
     "shared_pool": Registry(
-        "shared_pool",
-        bootstrap=("repro.serve.pool", "repro.serve.remote"),
+        "shared_pool", bootstrap=("repro.parallel.pool",)
     ),
     "model": Registry(
         "model",

@@ -141,3 +141,59 @@ class TestLpqQuantizeExecutor:
         )
         assert np.isfinite(res_thread.fitness)
         assert res_default.fitness == res_thread.fitness
+
+
+class TestPickledSpecFallback:
+    """A model the wire codec cannot name — untagged, and its class
+    needs constructor arguments — still runs on the process pool, which
+    pickles its spec instead; the search stays bitwise-serial on both
+    the single-search path and the scheduler's pool."""
+
+    @pytest.fixture(scope="class")
+    def mini_setup(self):
+        from repro.models import resnet18_mini
+        from repro.quant import lpq_quantize
+
+        nn.seed(7)
+        model = resnet18_mini()
+        model.eval()
+        images = calibration_batch(4, seed=5)
+        config = LPQConfig(population=3, passes=1, cycles=1, block_size=5,
+                           diversity_parents=2, hw_widths=(4, 8), seed=3)
+        serial = lpq_quantize(model, images, config=config)
+        return model, images, config, serial
+
+    @staticmethod
+    def _assert_bitwise(result, serial):
+        assert result.fitness == serial.fitness
+        assert result.solution == serial.solution
+        assert result.history.best_fitness == serial.history.best_fitness
+        assert result.history.mean_bits == serial.history.mean_bits
+
+    def test_model_cannot_cross_the_wire(self, mini_setup):
+        from repro.spec.wire import encode_job
+
+        model, images, _, serial = mini_setup
+        spec = EvaluatorSpec(images=images, model=model, stats=serial.stats)
+        with pytest.raises(ValueError, match="constructor argument"):
+            encode_job(spec)
+
+    def test_lpq_quantize_process_backend(self, mini_setup):
+        from repro.quant import lpq_quantize
+
+        model, images, config, serial = mini_setup
+        result = lpq_quantize(
+            model, images, config=config,
+            executor=ExecutorConfig("process", workers=2),
+        )
+        self._assert_bitwise(result, serial)
+
+    def test_scheduler_process_pool(self, mini_setup):
+        from repro.serve import SearchScheduler
+
+        model, images, config, serial = mini_setup
+        scheduler = SearchScheduler(
+            executor=ExecutorConfig("process", workers=2)
+        )
+        scheduler.submit("mini", model, images, config=config)
+        self._assert_bitwise(scheduler.run()["mini"], serial)

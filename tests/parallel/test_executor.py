@@ -1,15 +1,11 @@
-"""Executor backends: replicas, ordering, memoisation, perf merging."""
+"""Pool backends under PopulationEvaluator: replicas, ordering,
+memoisation, perf merging."""
 
 import pickle
 
 import pytest
 
-from repro.parallel import (
-    EvaluatorSpec,
-    ExecutorConfig,
-    PopulationEvaluator,
-    make_executor,
-)
+from repro.parallel import EvaluatorSpec, ExecutorConfig, PopulationEvaluator
 from repro.perf import PerfRegistry, diff_snapshots, reset_perf
 
 from .parmodels import build_par_model
@@ -78,31 +74,27 @@ class TestEvaluatorSpec:
 
 class TestBackendsAgree:
     def _serial_scores(self, par_setup, candidates):
-        executor = make_executor(
-            _spec(par_setup), ExecutorConfig("serial"), PerfRegistry()
-        )
-        return executor.evaluate_batch(candidates)
+        with PopulationEvaluator(
+            _spec(par_setup), ExecutorConfig("serial")
+        ) as evaluator:
+            return evaluator.evaluate_many(candidates)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_backend_matches_serial_in_order(
         self, par_setup, candidates, backend
     ):
         expected = self._serial_scores(par_setup, candidates)
-        executor = make_executor(
-            _spec(par_setup),
-            ExecutorConfig(backend, workers=2),
-            PerfRegistry(),
-        )
-        try:
-            assert executor.evaluate_batch(candidates) == expected
-            # a second batch reuses warm worker caches; values must not move
-            assert executor.evaluate_batch(candidates) == expected
-        finally:
-            executor.close()
+        with PopulationEvaluator(
+            _spec(par_setup), ExecutorConfig(backend, workers=2)
+        ) as evaluator:
+            assert evaluator.evaluate_many(candidates) == expected
+            # a second batch past the memo reuses warm worker caches;
+            # values must not move
+            assert evaluator._evaluate_batch(candidates) == expected
 
     def test_broken_spec_raises_instead_of_hanging(self, par_setup):
         """A spec whose replica build fails in the worker must surface a
-        RuntimeError on the first task, not hang the pool."""
+        RuntimeError carrying the worker traceback, not hang the pool."""
         from .parmodels import build_par_model
 
         model, images, stats = par_setup
@@ -111,25 +103,23 @@ class TestBackendsAgree:
             images=images, builder=build_par_model, state=bad_state,
             stats=stats,
         )
-        executor = make_executor(
-            spec, ExecutorConfig("process", workers=1), PerfRegistry()
-        )
-        try:
-            with pytest.raises(RuntimeError, match="failed to initialize"):
-                executor.evaluate_batch([None])
-        finally:
-            executor.close()
+        with PopulationEvaluator(
+            spec, ExecutorConfig("process", workers=1)
+        ) as evaluator:
+            with pytest.raises(
+                RuntimeError, match="process evaluation failed"
+            ) as info:
+                evaluator.evaluate_many([None])
+        assert "Traceback (most recent call last)" in str(info.value)
+        assert "load_state_dict" in str(info.value)
 
     def test_single_worker_process_backend(self, par_setup, candidates):
         expected = self._serial_scores(par_setup, candidates)
-        executor = make_executor(
-            _spec(par_setup), ExecutorConfig("process", workers=1),
-            PerfRegistry(),
-        )
-        try:
-            assert executor.evaluate_batch(candidates) == expected
-        finally:
-            executor.close()
+        with PopulationEvaluator(
+            _spec(par_setup), ExecutorConfig("process", workers=1)
+        ) as evaluator:
+            assert evaluator.workers == 1
+            assert evaluator.evaluate_many(candidates) == expected
 
 
 class TestPerfMerging:
@@ -146,6 +136,8 @@ class TestPerfMerging:
         # merged back — a fan-out must not lose observability
         assert snap["timers"]["fitness.evaluate"]["count"] == len(candidates)
         assert snap["caches"]["quant.weight_cache"]["misses"] > 0
+        # the job's wire payload is accounted into the same registry
+        assert snap["counters"]["transport.bytes_sent"] > 0
         # zero-delta counters are elided from the merged snapshot
         assert snap["counters"].get("replay.layers_reused", 0) >= 0
 

@@ -27,7 +27,6 @@ from repro.parallel import ExecutorConfig, parse_address
 from repro.quant import lpq_quantize
 from repro.serve import SearchScheduler, WorkerPool, make_shared_pool
 from repro.serve.remote import (
-    RemoteExecutor,
     SharedRemotePool,
     WorkerServer,
     local_worker_fleet,
@@ -338,7 +337,7 @@ class TestLiveness:
 
         from repro.parallel import EvaluatorSpec
         from repro.quant import collect_layer_stats, random_solution
-        from repro.serve.pool import encode_pool_wires
+        from repro.parallel.pool import encode_pool_wires
 
         from .servemodels import build_serve_mlp
 
@@ -396,11 +395,12 @@ class TestLiveness:
             assert not pool.healthy()
 
 
-class TestRemoteExecutorAdapter:
-    def test_registered_as_executor_backend(self, serve_setup):
-        from repro.quant import collect_layer_stats
-        from repro.parallel import EvaluatorSpec, make_executor
-        from repro.perf import PerfRegistry
+class TestRemoteBackend:
+    def test_population_evaluator_matches_serial(self, serve_setup):
+        import numpy as np
+
+        from repro.parallel import EvaluatorSpec, PopulationEvaluator
+        from repro.quant import collect_layer_stats, random_solution
 
         from .servemodels import build_serve_cnn
 
@@ -413,25 +413,17 @@ class TestRemoteExecutorAdapter:
             state=model.state_dict(), stats=stats,
         )
         serial = spec.build(copy_model=True)
-        import numpy as np
-
-        from repro.quant import random_solution
-
         rng = np.random.default_rng(5)
         solutions = [
             random_solution(rng, len(stats), stats.weight_log_centers, (4, 8))
             for _ in range(5)
         ]
         with local_worker_fleet(2) as addresses:
-            executor = make_executor(
-                spec, _remote_executor(addresses), PerfRegistry()
-            )
-            assert isinstance(executor, RemoteExecutor)
-            try:
-                assert executor.workers == 2
-                fits = executor.evaluate_batch(solutions)
-            finally:
-                executor.close()
+            with PopulationEvaluator(
+                spec, _remote_executor(addresses)
+            ) as evaluator:
+                assert evaluator.workers == 2
+                fits = evaluator.evaluate_many(solutions)
         assert fits == [serial.evaluate(sol) for sol in solutions]
 
     def test_make_shared_pool_builds_remote(self, serve_setup):
@@ -494,7 +486,7 @@ class TestResilience:
         """The nasty liveness case: the worker *accepted* chunks and
         began evaluating, then went silent — results computed but never
         sent.  Only the liveness timeout can recover these."""
-        from repro.serve.pool import encode_pool_wires
+        from repro.parallel.pool import encode_pool_wires
         from repro.serve.resilience import RetryPolicy
 
         spec, solutions, expected = _mlp_pool_setup()
@@ -589,7 +581,7 @@ class TestResilience:
         """SIGTERM path: a draining worker finishes what it accepted,
         the pool stops dispatching to it, and no chunk is lost."""
         from repro.perf import PerfRegistry
-        from repro.serve.pool import encode_pool_wires
+        from repro.parallel.pool import encode_pool_wires
 
         spec, solutions, expected = _mlp_pool_setup()
         leaving, survivor = WorkerServer().start(), WorkerServer().start()
@@ -625,7 +617,7 @@ class TestResilience:
     def test_add_and_remove_worker_at_runtime(self):
         """Elastic membership: the fleet grows and shrinks mid-life
         without losing chunks."""
-        from repro.serve.pool import encode_pool_wires
+        from repro.parallel.pool import encode_pool_wires
 
         spec, solutions, expected = _mlp_pool_setup()
         first, second = WorkerServer().start(), WorkerServer().start()
@@ -658,7 +650,7 @@ class TestResilience:
         up it joins on its own."""
         import socket as socket_mod
 
-        from repro.serve.pool import encode_pool_wires
+        from repro.parallel.pool import encode_pool_wires
         from repro.serve.resilience import RetryPolicy
 
         spec, solutions, expected = _mlp_pool_setup(n_solutions=3)
@@ -697,7 +689,7 @@ class TestResilience:
         """A worker killed and restarted behind the same address is
         re-dialed and put back to work mid-life."""
         from repro.perf import PerfRegistry
-        from repro.serve.pool import encode_pool_wires
+        from repro.parallel.pool import encode_pool_wires
         from repro.serve.resilience import RetryPolicy
 
         spec, solutions, expected = _mlp_pool_setup()
@@ -747,7 +739,7 @@ class TestResilience:
     def test_clean_close_leaks_no_threads(self):
         """The leak-surfacing satellite: a clean fleet shutdown joins
         every transport thread; nothing lands in the leak registers."""
-        from repro.serve.pool import encode_pool_wires
+        from repro.parallel.pool import encode_pool_wires
 
         spec, solutions, _ = _mlp_pool_setup(n_solutions=2)
         servers = [WorkerServer().start() for _ in range(2)]

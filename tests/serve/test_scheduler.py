@@ -242,7 +242,7 @@ class TestAdaptiveChunking:
         assert not handle.finished
 
     def test_cost_estimate_updates_from_results(self, serve_setup):
-        from repro.serve.pool import ChunkResult
+        from repro.parallel.pool import ChunkResult
 
         cnn, _, images = serve_setup
         scheduler = SearchScheduler(cost_ewma=0.5)

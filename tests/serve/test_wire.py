@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.parallel import EvaluatorSpec, ExecutorConfig
 from repro.quant import FitnessConfig, collect_layer_stats, lpq_quantize
 from repro.serve import SearchScheduler
-from repro.serve.pool import SharedProcessPool, encode_pool_wires, make_shared_pool
+from repro.parallel.pool import SharedProcessPool, encode_pool_wires, make_shared_pool
 from repro.spec import CalibSpec, SearchSpec
 from repro.spec.wire import (
     SERVER_OPS,

@@ -69,10 +69,17 @@ class TestModuleLevelApi:
         with pytest.raises(KeyError, match="unknown registry"):
             registry.registry("nope")
 
-    def test_builtin_executors(self):
-        assert registry.names("executor") == (
-            "serial", "thread", "process", "remote"
-        )
+    def test_executor_config_validates_against_pool_family(self):
+        """One family: a backend ExecutorConfig accepts is a backend
+        make_shared_pool can build."""
+        with pytest.raises(KeyError, match="unknown registry"):
+            registry.registry("executor")
+        from repro.parallel import ExecutorConfig
+
+        remote = {"addresses": ["127.0.0.1:7301"]}
+        for name in registry.names("shared_pool"):
+            kwargs = remote if name == "remote" else {}
+            assert ExecutorConfig(name, **kwargs).backend == name
 
     def test_builtin_shared_pools(self):
         assert registry.names("shared_pool") == (
@@ -123,10 +130,13 @@ class TestLegacyTablesAreRegistries:
         with pytest.raises(ValueError, match="unknown backend"):
             ExecutorConfig("warp-drive")
         registry.register(
-            "executor", "test-backend", lambda spec, config, perf: None,
+            "shared_pool", "test-backend",
+            lambda specs, config, results, search_specs: None,
             replace=True,
         )
         try:
             assert ExecutorConfig("test-backend").backend == "test-backend"
         finally:
-            registry.registry("executor")._entries.pop("test-backend", None)
+            registry.registry("shared_pool")._entries.pop(
+                "test-backend", None
+            )
