@@ -40,6 +40,7 @@ DOCTEST_MODULES = (
     "repro.parallel.executor",  # ExecutorConfig
     "repro.serve.scheduler",  # SearchScheduler
     "repro.serve.api",  # lpq_quantize_many
+    "repro.serve.conn",  # Listener/Session/dial echo round trip
     "repro.serve.remote",  # remote worker fleet round trip
     "repro.serve.resilience",  # RetryPolicy backoff determinism
     "repro.serve.chaos",  # FaultPlan round trip + committed plans

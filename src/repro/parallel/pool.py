@@ -157,20 +157,36 @@ class WorkerPool(abc.ABC):
         self.close()
 
 
-def _evaluate_with_entry(entry, solutions):
-    """Score a chunk on one job-replica entry; returns (fits, delta)."""
-    replica, registry, last_snap = entry
-    fits = replica.evaluate_many(solutions)
-    snap = registry.snapshot()
-    delta = diff_snapshots(snap, last_snap[0])
-    last_snap[0] = snap
-    return fits, delta
+def _evaluate_chunk(replicas: dict, job: str, spec_of, solutions,
+                    copy_model: bool = False) -> tuple:
+    """Score one chunk on ``job``'s replica — the one evaluation step
+    every pool and worker runs.
 
-
-def _build_entry(spec: EvaluatorSpec, copy_model: bool):
-    registry = PerfRegistry()
-    replica = spec.build(perf=registry, copy_model=copy_model)
-    return (replica, registry, [registry.snapshot()])
+    ``replicas`` maps job names to replica entries; a job's entry is
+    built on first use from ``spec_of()`` (its
+    :class:`~repro.parallel.EvaluatorSpec`) with its own perf registry.
+    Returns ``(fits, perf_delta, elapsed, error)``, the tail of a
+    :class:`ChunkResult`: any failure — building the replica or scoring
+    — becomes ``error``, the formatted traceback, so the caller
+    survives and keeps serving other jobs.
+    """
+    start = time.perf_counter()
+    try:
+        entry = replicas.get(job)
+        if entry is None:
+            registry = PerfRegistry()
+            replica = spec_of().build(perf=registry, copy_model=copy_model)
+            entry = replicas[job] = (replica, registry, [registry.snapshot()])
+        replica, registry, last_snap = entry
+        fits = replica.evaluate_many(solutions)
+        snap = registry.snapshot()
+        delta = diff_snapshots(snap, last_snap[0])
+        last_snap[0] = snap
+        return fits, delta, time.perf_counter() - start, None
+    except Exception:  # lint: disable=broad-except -- worker boundary: any evaluation failure becomes an error result
+        return (
+            None, None, time.perf_counter() - start, traceback.format_exc()
+        )
 
 
 class SharedSerialPool(WorkerPool):
@@ -186,24 +202,12 @@ class SharedSerialPool(WorkerPool):
         self._replicas: dict[str, tuple] = {}
 
     def submit(self, job: str, seq: int, chunk: int, solutions) -> None:
-        start = time.perf_counter()
-        try:
-            entry = self._replicas.get(job)
-            if entry is None:
-                # copy_model=True: two jobs may legitimately share one
-                # model instance; each replica must mutate its own copy
-                entry = _build_entry(self._specs[job], copy_model=True)
-                self._replicas[job] = entry
-            fits, delta = _evaluate_with_entry(entry, solutions)
-            result = ChunkResult(
-                job, seq, chunk, fits, delta, time.perf_counter() - start
-            )
-        except Exception:  # lint: disable=broad-except -- worker boundary: any evaluation failure becomes an error ChunkResult
-            result = ChunkResult(
-                job, seq, chunk, None, None, time.perf_counter() - start,
-                error=traceback.format_exc(),
-            )
-        self._results.put(result)
+        # copy_model=True: two jobs may legitimately share one model
+        # instance; each replica must mutate its own copy
+        self._results.put(ChunkResult(job, seq, chunk, *_evaluate_chunk(
+            self._replicas, job, lambda: self._specs[job], solutions,
+            copy_model=True,
+        )))
 
     def close(self) -> None:
         pass
@@ -238,25 +242,14 @@ class SharedThreadPool(WorkerPool):
 
     def _run(self, job: str, seq: int, chunk: int, solutions) -> None:
         slot = self._slots.get()
-        start = time.perf_counter()
         try:
-            try:
-                entry = slot.get(job)
-                if entry is None:
-                    entry = _build_entry(self._specs[job], copy_model=True)
-                    slot[job] = entry
-                fits, delta = _evaluate_with_entry(entry, solutions)
-                result = ChunkResult(
-                    job, seq, chunk, fits, delta, time.perf_counter() - start
-                )
-            except Exception:  # lint: disable=broad-except -- worker boundary: any evaluation failure becomes an error ChunkResult
-                result = ChunkResult(
-                    job, seq, chunk, None, None, time.perf_counter() - start,
-                    error=traceback.format_exc(),
-                )
+            outcome = _evaluate_chunk(
+                slot, job, lambda: self._specs[job], solutions,
+                copy_model=True,
+            )
         finally:
             self._slots.put(slot)
-        self._results.put(result)
+        self._results.put(ChunkResult(job, seq, chunk, *outcome))
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
@@ -272,7 +265,7 @@ class SharedThreadPool(WorkerPool):
 # survives and keeps serving other jobs.
 _SHARED_WIRES: dict[str, dict] | None = None
 _SHARED_PICKLED: dict[str, EvaluatorSpec] | None = None
-_SHARED_STATE: dict[str, tuple] | None = None
+_SHARED_STATE: dict[str, tuple] = {}
 _SHARED_BLOBS = None
 _SHARED_BLOBS_ERROR: str | None = None
 
@@ -305,6 +298,13 @@ def _shared_job_spec(job: str) -> EvaluatorSpec:
     """The job's spec as shipped pickled, else decoded from its wire
     payload (a fresh decode: nothing keeps it once the replica is
     built)."""
+    if _SHARED_WIRES is None:
+        raise RuntimeError("shared pool worker not initialized")
+    if _SHARED_BLOBS_ERROR is not None:
+        raise RuntimeError(
+            "shared pool worker could not attach its blob table:\n"
+            f"{_SHARED_BLOBS_ERROR}"
+        )
     spec = _SHARED_PICKLED.get(job)
     if spec is None:
         from ..spec.wire import decode_job
@@ -314,26 +314,10 @@ def _shared_job_spec(job: str) -> EvaluatorSpec:
 
 
 def _evaluate_shared_chunk(job: str, solutions):
-    start = time.perf_counter()
-    try:
-        if _SHARED_STATE is None or _SHARED_WIRES is None:
-            raise RuntimeError("shared pool worker not initialized")
-        if _SHARED_BLOBS_ERROR is not None:
-            raise RuntimeError(
-                "shared pool worker could not attach its blob table:\n"
-                f"{_SHARED_BLOBS_ERROR}"
-            )
-        entry = _SHARED_STATE.get(job)
-        if entry is None:
-            # the worker owns everything it decodes or unpickles
-            entry = _build_entry(_shared_job_spec(job), copy_model=False)
-            _SHARED_STATE[job] = entry
-        fits, delta = _evaluate_with_entry(entry, solutions)
-        return fits, delta, time.perf_counter() - start, None
-    except Exception:  # lint: disable=broad-except -- worker boundary: failures travel home as error tuples
-        return (
-            None, None, time.perf_counter() - start, traceback.format_exc()
-        )
+    # the worker owns everything it decodes or unpickles
+    return _evaluate_chunk(
+        _SHARED_STATE, job, lambda: _shared_job_spec(job), solutions
+    )
 
 
 class SharedProcessPool(WorkerPool):

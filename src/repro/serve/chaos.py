@@ -245,8 +245,8 @@ class ChaosController:
                 handled = True
             elif event.action == "duplicate_result":
                 with contextlib.suppress(OSError, ValueError):
-                    session._send(result)
-                    session._send(result)
+                    session.send(result)
+                    session.send(result)
                 handled = True
         return handled
 

@@ -52,29 +52,19 @@ True
 from __future__ import annotations
 
 import contextlib
-import hmac
 import itertools
 import queue
-import socket
 import threading
 import time
-import traceback
 import warnings
 
 from ..obs import MetricsEmitter, get_hub
 from ..parallel import parse_address
-from ..parallel.pool import (
-    ChunkResult,
-    WorkerPool,
-    _build_entry,
-    _evaluate_with_entry,
-)
+from ..parallel.pool import ChunkResult, WorkerPool, _evaluate_chunk
 from ..perf import PerfRegistry
 from ..spec.blob import BlobStore
 from ..spec.wire import (
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    WIRE_VERSION,
     FrameCorruptionError,
     blob_get_message,
     blob_put_message,
@@ -84,14 +74,13 @@ from ..spec.wire import (
     draining_message,
     error_message,
     frame_message,
-    hello_message,
     job_message,
     metrics_message,
     read_frame,
     result_message,
     task_message,
-    welcome_message,
 )
+from .conn import HANDSHAKE_TIMEOUT_S, Listener, Session, close_socket, dial
 from .resilience import RetryPolicy
 
 __all__ = [
@@ -103,11 +92,6 @@ __all__ = [
 #: default client heartbeat interval (seconds between pings)
 HEARTBEAT_S = 2.0
 
-#: handshake must complete within this many seconds on both ends — a
-#: client talking to a wrong port, or a port-scanner talking to a
-#: worker, times out cleanly instead of hanging either side
-HANDSHAKE_TIMEOUT_S = 10.0
-
 #: a worker evaluating a task blocks at most this long for a missing
 #: blob to arrive from the client before failing that task
 BLOB_FETCH_TIMEOUT_S = 30.0
@@ -117,143 +101,61 @@ BLOB_FETCH_TIMEOUT_S = 30.0
 _DRAIN = object()
 
 
-def _send_frame(sock: socket.socket, lock: threading.Lock,
-                message: dict) -> None:
-    """Frame and send one message; serialized per socket so concurrent
-    senders (submitter, heartbeat) cannot interleave bytes."""
-    data = frame_message(message)
-    with lock:
-        sock.sendall(data)
-
-
 # -- the worker (server side) --------------------------------------------
-class _WorkerSession(threading.Thread):
-    """One accepted client connection on a :class:`WorkerServer`.
+class _WorkerSession(Session):
+    """One client connection on a :class:`WorkerServer`.
 
     The reader thread (this thread) stays responsive — it answers pings
-    and enqueues tasks — while a dedicated evaluator thread works
-    through the task queue, so liveness checks succeed even mid-chunk.
-    Job replicas are session-scoped: two clients registering the same
-    job name cannot collide.
+    and queues tasks for the server's evaluator thread — so liveness
+    checks succeed even mid-chunk.  Job replicas are session-scoped: two
+    clients registering the same job name cannot collide.  An unknown
+    frame means a corrupt peer and ends the session.
     """
 
-    def __init__(self, server: "WorkerServer", sock: socket.socket,
-                 peer) -> None:
-        super().__init__(daemon=True, name=f"repro-worker-{peer}")
-        self.server = server
-        self.sock = sock
-        self.peer = peer
-        self._send_lock = threading.Lock()
-        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+    def __init__(self, server: "WorkerServer", sock, peer) -> None:
+        super().__init__(server, sock, peer)
         self._wires: dict[str, dict] = {}
         self._entries: dict[str, tuple] = {}
         self._blob_lock = threading.Lock()
         #: digest → set by the reader thread when its blob_put arrives;
         #: the evaluator thread waits on these for fetch-on-miss
         self._blob_events: dict[str, threading.Event] = {}
-        self._closed = False
         #: test hook (:meth:`WorkerServer.silence`): swallow every
         #: frame, answer nothing — a hung worker as the client sees it
         self.muted = False
 
-    # -- plumbing --------------------------------------------------------
-    def _send(self, message: dict) -> None:
-        _send_frame(self.sock, self._send_lock, message)
-
-    def send_raw(self, data: bytes) -> None:
-        """Send pre-framed bytes verbatim (the chaos harness uses this
-        to put a deliberately checksum-corrupt frame on the wire)."""
-        with self._send_lock:
-            self.sock.sendall(data)
-
+    # -- message loop ----------------------------------------------------
     def close(self) -> None:
-        self._closed = True
-        with contextlib.suppress(OSError):
-            self.sock.shutdown(socket.SHUT_RDWR)
-        with contextlib.suppress(OSError):
-            self.sock.close()
+        super().close()
+        # a fetch waiting on this client can never be answered now:
+        # wake it, so the server's evaluator moves on at once
+        with self._blob_lock:
+            for event in self._blob_events.values():
+                event.set()
 
-    # -- handshake + message loop ----------------------------------------
-    def run(self) -> None:
-        try:
-            self.sock.settimeout(HANDSHAKE_TIMEOUT_S)
-            rfile = self.sock.makefile("rb")
-            if not self._handshake(rfile):
-                return
-            self.sock.settimeout(None)
-            evaluator = threading.Thread(
-                target=self._evaluate_loop, daemon=True,
-                name=f"{self.name}-eval",
-            )
-            evaluator.start()
-            try:
-                self._read_loop(rfile)
-            finally:
-                self._tasks.put(None)  # unblock the evaluator thread
-        except (OSError, ValueError):
-            pass  # connection died or stream corrupt: session over
-        finally:
-            self.close()
-            self.server._session_done(self)
+    def receive(self, message: dict) -> bool:
+        if self.muted:
+            return True  # hung-host simulation: read, never react
+        if message.get("type") == "bye":
+            # a departing client gets the telemetry tail before EOF:
+            # one final delta sample, so even a pool window shorter
+            # than the sampling interval sees the work it dispatched
+            self.server._flush_metrics()
+        return super().receive(message)
 
-    def _handshake(self, rfile) -> bool:
-        message = read_frame(rfile, self.server.max_frame)
-        if message is None or message.get("type") != "hello":
-            self._send(error_message("expected hello frame"))
+    def handle(self, kind, message: dict) -> bool:
+        if kind == "job":
+            self._wires[message["job"]] = message["payload"]
+            self._request_job_blobs(message["payload"])
+        elif kind == "blob_put":
+            self._receive_blob(message)
+        elif kind == "task":
+            self.server._task_received()
+            self.server._tasks.put((self, message))
+        else:
+            self.send(error_message(f"unknown frame type {kind!r}"))
             return False
-        if message.get("protocol") != PROTOCOL_VERSION:
-            self._send(error_message(
-                f"protocol version mismatch: client speaks "
-                f"{message.get('protocol')!r}, worker speaks "
-                f"{PROTOCOL_VERSION}; upgrade the older build"
-            ))
-            self.server._log(
-                f"refused {self.peer}: protocol "
-                f"{message.get('protocol')!r} != {PROTOCOL_VERSION}"
-            )
-            return False
-        if message.get("version") != WIRE_VERSION:
-            self._send(error_message(
-                f"unsupported wire version {message.get('version')!r} "
-                f"(worker speaks {WIRE_VERSION})"
-            ))
-            return False
-        if not self.server._token_ok(message.get("token")):
-            self.server.auth_failures += 1
-            self._send(error_message("bad auth token"))
-            self.server._log(f"refused {self.peer}: bad auth token")
-            return False
-        self._send(welcome_message(capacity=1))
-        self.server._log(f"accepted {self.peer}")
         return True
-
-    def _read_loop(self, rfile) -> None:
-        while not self._closed:
-            message = read_frame(rfile, self.server.max_frame)
-            if message is None:
-                return  # clean EOF: client went away
-            if self.muted:
-                continue  # hung-host simulation: read, never react
-            kind = message.get("type")
-            if kind == "job":
-                self._wires[message["job"]] = message["payload"]
-                self._request_job_blobs(message["payload"])
-            elif kind == "blob_put":
-                self._receive_blob(message)
-            elif kind == "task":
-                self.server._task_received()
-                self._tasks.put(message)
-            elif kind == "ping":
-                self._send({"type": "pong", "t": message.get("t")})
-            elif kind == "bye":
-                # a departing client gets the telemetry tail before EOF:
-                # one final delta sample, so even a pool window shorter
-                # than the sampling interval sees the work it dispatched
-                self.server._flush_metrics()
-                return
-            else:
-                self._send(error_message(f"unknown frame type {kind!r}"))
-                return
 
     # -- blob transport --------------------------------------------------
     def _blob_event(self, digest: str) -> threading.Event:
@@ -269,7 +171,7 @@ class _WorkerSession(threading.Thread):
             return
         missing = self.server.blobs.missing(refs)
         cached = sorted(set(refs) - set(missing))
-        self._send(blob_get_message(missing, cached))
+        self.send(blob_get_message(missing, cached))
 
     def _receive_blob(self, message: dict) -> None:
         from ..spec.serde import decode_array
@@ -282,7 +184,7 @@ class _WorkerSession(threading.Thread):
     def _fetch_blob(self, digest: str):
         """Fetch-on-miss hook for :func:`repro.spec.wire.decode_job`:
         ask the client for one blob and block (evaluator thread only)
-        until the reader thread has stored it."""
+        until the reader thread has stored it or the session closed."""
         with self._blob_lock:
             event = self._blob_events.get(digest)
             if event is None or event.is_set():
@@ -290,84 +192,72 @@ class _WorkerSession(threading.Thread):
                 # store, e.g. after a cache drop): wait on a fresh one
                 event = threading.Event()
                 self._blob_events[digest] = event
-        self._send(blob_get_message([digest]))
+        self.send(blob_get_message([digest]))
         if not event.wait(timeout=BLOB_FETCH_TIMEOUT_S):
             raise RuntimeError(
                 f"timed out waiting for blob {digest!r} from the client"
             )
         return self.server.blobs.get(digest)
 
-    # -- evaluation ------------------------------------------------------
-    def _evaluate_loop(self) -> None:
-        while True:
-            message = self._tasks.get()
-            if message is None or self._closed:
-                return
-            if message is _DRAIN:
-                # every chunk accepted before the drain signal has been
-                # evaluated (the queue is FIFO); closing the socket now
-                # makes the client requeue anything that raced in later
-                self.close()
-                return
-            self.server._task_started()
-            chaos = self.server.chaos
-            events = chaos.on_task(self.server) if chaos is not None else ()
-            if events and chaos.apply_task_events(self.server, self, events):
-                continue  # the fault consumed this task (kill/disconnect)
-            result = self._evaluate(message)
-            if self.muted:
-                continue  # hung-host simulation: compute, never reply
-            if events and chaos.apply_result_events(self, events, result):
-                continue  # the fault already handled (or ate) the send
-            try:
-                self._send(result)
-            except (OSError, ValueError):
-                return  # client gone; the pool requeues this chunk
+    # -- evaluation (the server's evaluator thread) ----------------------
+    def _run_task(self, message) -> None:
+        if self.closed:
+            return  # the client is gone; it requeues this chunk
+        if message is _DRAIN:
+            # every chunk accepted before the drain signal has been
+            # evaluated (the queue is FIFO); closing flushes their
+            # results, and the client requeues anything that raced in
+            # later
+            self.close()
+            return
+        self.server._task_started()
+        chaos = self.server.chaos
+        events = chaos.on_task(self.server) if chaos is not None else ()
+        if events and chaos.apply_task_events(self.server, self, events):
+            return  # the fault consumed this task (kill/disconnect)
+        result = self._evaluate(message)
+        if self.muted:
+            return  # hung-host simulation: compute, never reply
+        if events and chaos.apply_result_events(self, events, result):
+            return  # the fault already handled (or ate) the send
+        self.send(result)
+
+    def _spec(self, job: str):
+        wire = self._wires.get(job)
+        if wire is None:
+            raise RuntimeError(
+                f"job {job!r} was never registered on this worker"
+            )
+        return decode_job(wire, blobs=self.server.blobs,
+                          fetch=self._fetch_blob)
 
     def _evaluate(self, message: dict) -> dict:
-        task, job = message["task"], message["job"]
-        seq, chunk = message["seq"], message["chunk"]
-        start = time.perf_counter()
-        try:
-            entry = self._entries.get(job)
-            if entry is None:
-                wire = self._wires.get(job)
-                if wire is None:
-                    raise RuntimeError(
-                        f"job {job!r} was never registered on this worker"
-                    )
-                entry = _build_entry(
-                    decode_job(wire, blobs=self.server.blobs,
-                               fetch=self._fetch_blob),
-                    copy_model=False,
-                )
-                self._entries[job] = entry
-            solutions = [decode_solution(rows)
-                         for rows in message["solutions"]]
-            fits, delta = _evaluate_with_entry(entry, solutions)
-            # telemetry only: fold the same delta the client will merge
-            # into the worker's own registry, so the live metrics stream
-            # reconciles with the end-of-job snapshot.  The result frame
-            # is built before the accounting touches anything.
-            reply = result_message(
-                task, job, seq, chunk, fits, delta,
-                time.perf_counter() - start,
-            )
-            self.server._task_done(delta, len(solutions))
-            return reply
-        except Exception:  # lint: disable=broad-except -- worker boundary: any evaluation failure becomes an error result frame
-            self.server._task_done(None, 0)
-            return result_message(
-                task, job, seq, chunk, None, None,
-                time.perf_counter() - start, error=traceback.format_exc(),
-            )
+        job, rows = message["job"], message["solutions"]
+        fits, delta, elapsed, error = _evaluate_chunk(
+            self._entries, job, lambda: self._spec(job),
+            (decode_solution(row) for row in rows),
+        )
+        # telemetry only: fold the same delta the client will merge
+        # into the worker's own registry, so the live metrics stream
+        # reconciles with the end-of-job snapshot.  The result frame
+        # is built before the accounting touches anything.
+        reply = result_message(
+            message["task"], job, message["seq"], message["chunk"],
+            fits, delta, elapsed, error=error,
+        )
+        self.server._task_done(delta, len(rows) if error is None else 0)
+        return reply
 
 
-class WorkerServer:
+class WorkerServer(Listener):
     """A standalone LPQ evaluation worker behind a TCP socket.
 
     Long-lived: serves any number of client connections (sequentially
     or concurrently), each with its own session-scoped job replicas.
+    One evaluator thread scores every session's chunks in arrival
+    order: it lives as long as the server, so replica memory is reused
+    from one session to the next instead of being spread over the
+    allocator arenas of short-lived per-session threads.
     ``port=0`` binds an ephemeral port — read it back from
     :attr:`address`.  ``token`` (optional) is a shared secret every
     client must echo in its hello frame; mismatches are refused before
@@ -385,6 +275,9 @@ class WorkerServer:
     :func:`local_worker_fleet`.
     """
 
+    session_class = _WorkerSession
+    role = "worker"
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -396,11 +289,7 @@ class WorkerServer:
         metrics_interval: float = 0.0,
         perf=None,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.token = token
-        self.max_frame = max_frame
-        self.verbose = verbose
+        super().__init__(host, port, token, max_frame, verbose)
         self.blobs = BlobStore(cache_dir=blob_cache)
         #: worker-level telemetry registry — private by default so an
         #: in-process fleet's samples are not polluted by (or polluting)
@@ -409,7 +298,6 @@ class WorkerServer:
         #: sampling interval for the live metrics stream; 0 = off
         self.metrics_interval = float(metrics_interval)
         self._emitter: MetricsEmitter | None = None
-        self.auth_failures = 0
         #: tasks accepted off the socket / begun evaluating / finished
         #: (test hooks; received - done is the live queue-depth gauge)
         self.tasks_received = 0
@@ -418,28 +306,20 @@ class WorkerServer:
         self.task_started_event = threading.Event()
         #: optional fault-injection controller (:mod:`repro.serve.chaos`)
         self.chaos = None
-        #: session threads that survived :meth:`stop`'s join timeout —
-        #: tracked and surfaced instead of silently abandoned
-        self.leaked_sessions: list = []
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._sessions: set[_WorkerSession] = set()
         self._lock = threading.Lock()
-        self._closed = False
         self._draining = False
+        #: (session, task message or drain sentinel), in arrival order
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self._evaluator: threading.Thread | None = None
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "WorkerServer":
-        listener = socket.create_server(
-            (self.host, self.port), reuse_port=False
+        self.listen()
+        self._evaluator = threading.Thread(
+            target=self._evaluate_loop, daemon=True,
+            name=f"repro-worker-eval-{self.port}",
         )
-        self.port = listener.getsockname()[1]
-        self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True,
-            name=f"repro-worker-accept-{self.port}",
-        )
-        self._accept_thread.start()
+        self._evaluator.start()
         if self.metrics_interval > 0:
             self._emitter = MetricsEmitter(
                 self.perf, self._broadcast_metrics, self.metrics_interval,
@@ -450,57 +330,18 @@ class WorkerServer:
         self._log(f"listening on {self.address}")
         return self
 
-    @property
-    def address(self) -> str:
-        """``host:port`` as clients should dial it."""
-        return f"{self.host}:{self.port}"
-
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                sock, peer = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            session = _WorkerSession(self, sock, peer)
-            with self._lock:
-                if self._closed:
-                    session.close()
-                    return
-                self._sessions.add(session)
-            session.start()
-
     def stop(self) -> None:
-        """Graceful shutdown: stop accepting, close every session.
-
-        A session thread that outlives the join timeout is *leaked*:
-        it is recorded in :attr:`leaked_sessions`, logged, and surfaced
-        as a ``RuntimeWarning`` — never silently abandoned.
-        """
-        self._closed = True
+        """Graceful shutdown: stop accepting, close every session (see
+        :meth:`repro.serve.conn.Listener.stop` for leaked threads)."""
         if self._emitter is not None:
             # flush one final sample to still-open sessions before they
             # close, so short jobs never lose their telemetry tail
             self._emitter.stop()
             self._emitter = None
-        if self._listener is not None:
-            with contextlib.suppress(OSError):
-                self._listener.close()
-        with self._lock:
-            sessions = list(self._sessions)
-        for session in sessions:
-            session.close()
-        for session in sessions:
-            session.join(timeout=5)
-        leaked = [s for s in sessions if s.is_alive()]
-        if leaked:
-            self.leaked_sessions.extend(leaked)
-            names = [s.name for s in leaked]
-            self._log(f"leaked {len(leaked)} session thread(s): {names}")
-            warnings.warn(
-                f"WorkerServer.stop: {len(leaked)} session thread(s) "
-                f"still running after the join timeout: {names}",
-                RuntimeWarning, stacklevel=2,
-            )
+        super().stop()
+        if self._evaluator is not None:
+            self._tasks.put(None)
+            self._evaluator.join(timeout=5)
 
     def drain(self, wait: float = 30.0) -> None:
         """Graceful retirement (the SIGTERM path): stop accepting
@@ -514,15 +355,11 @@ class WorkerServer:
         """
         self._draining = True
         self._log("draining: refusing new work, finishing in-flight")
-        if self._listener is not None:
-            with contextlib.suppress(OSError):
-                self._listener.close()
-        with self._lock:
-            sessions = list(self._sessions)
+        self.stop_accepting()
+        sessions = self.sessions()
         for session in sessions:
-            with contextlib.suppress(OSError, ValueError):
-                session._send(draining_message())
-            session._tasks.put(_DRAIN)
+            session.send(draining_message())
+            self._tasks.put((session, _DRAIN))
         deadline = time.monotonic() + wait
         for session in sessions:
             session.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -546,9 +383,7 @@ class WorkerServer:
         the next task on any live session rebuilds its replica through
         the ``blob_get`` fetch-on-miss frames."""
         self.blobs.clear()
-        with self._lock:
-            sessions = list(self._sessions)
-        for session in sessions:
+        for session in self.sessions():
             session._entries.clear()
 
     def silence(self) -> None:
@@ -556,15 +391,8 @@ class WorkerServer:
         keeps its socket open but stops answering pings and sending
         results, as a hung or network-partitioned worker host would.
         Only the client's liveness timeout can detect this state."""
-        with self._lock:
-            sessions = list(self._sessions)
-        for session in sessions:
+        for session in self.sessions():
             session.muted = True
-
-    def serve_forever(self) -> None:
-        """Block until :meth:`stop` (the ``run_worker.py`` main loop)."""
-        while not self._closed:
-            time.sleep(0.2)
 
     def __enter__(self) -> "WorkerServer":
         return self.start()
@@ -572,14 +400,15 @@ class WorkerServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- session callbacks ----------------------------------------------
-    def _token_ok(self, token) -> bool:
-        if self.token is None:
-            return True
-        return isinstance(token, str) and hmac.compare_digest(
-            token, self.token
-        )
+    def _evaluate_loop(self) -> None:
+        while True:
+            item = self._tasks.get()
+            if item is None:
+                return
+            session, message = item
+            session._run_task(message)
 
+    # -- session callbacks ----------------------------------------------
     def _task_received(self) -> None:
         with self._lock:
             self.tasks_received += 1
@@ -604,10 +433,10 @@ class WorkerServer:
             self.perf.counter("worker.task_errors").inc()
 
     def _metrics_gauges(self) -> dict:
+        sessions = len(self.sessions())
         with self._lock:
             received = self.tasks_received
             done = self.tasks_done
-            sessions = len(self._sessions)
         return {
             "queue_depth": max(0, received - done),
             "sessions": sessions,
@@ -626,28 +455,16 @@ class WorkerServer:
             emitter.sample()
 
     def _broadcast_metrics(self, sample: dict) -> None:
-        """Emitter sink: push one sample to every connected client as a
+        """Emitter sink: push one sample to every joined client as a
         ``metrics`` frame.  Best-effort by design — a dead or muted
         session drops the sample, never the worker."""
         frame = metrics_message(
             sample["source"], sample["seq"], sample["t"],
             delta=sample["delta"], gauges=sample["gauges"],
         )
-        with self._lock:
-            sessions = list(self._sessions)
-        for session in sessions:
-            if session.muted:
-                continue
-            with contextlib.suppress(OSError, ValueError):
-                session._send(frame)
-
-    def _session_done(self, session: _WorkerSession) -> None:
-        with self._lock:
-            self._sessions.discard(session)
-
-    def _log(self, message: str) -> None:
-        if self.verbose:
-            print(f"[worker {self.port}] {message}", flush=True)
+        for session in self.sessions():
+            if not session.muted:
+                session.send(frame)
 
 
 @contextlib.contextmanager
@@ -677,9 +494,9 @@ def local_worker_fleet(count: int, token: str | None = None,
 class _RemoteWorker:
     """Client-side state for one worker connection."""
 
-    def __init__(self, address: str, sent_counter=None) -> None:
+    def __init__(self, address: str, sock=None, sent_counter=None) -> None:
         self.address = address
-        self.sock: socket.socket | None = None
+        self.sock = sock
         self.send_lock = threading.Lock()
         self.reader: threading.Thread | None = None
         self.alive = False
@@ -695,6 +512,9 @@ class _RemoteWorker:
         self.sent_counter = sent_counter
 
     def send(self, message: dict) -> None:
+        """Frame and send one message; serialized per socket so
+        concurrent senders (submitter, heartbeat) cannot interleave
+        bytes."""
         data = frame_message(message)
         if self.sent_counter is not None:
             self.sent_counter.inc(len(data))
@@ -704,10 +524,7 @@ class _RemoteWorker:
     def drop(self) -> None:
         self.alive = False
         if self.sock is not None:
-            with contextlib.suppress(OSError):
-                self.sock.shutdown(socket.SHUT_RDWR)
-            with contextlib.suppress(OSError):
-                self.sock.close()
+            close_socket(self.sock)
 
 
 class _Task:
@@ -1000,46 +817,14 @@ class SharedRemotePool(WorkerPool):
 
     # -- connection management -------------------------------------------
     def _connect(self, address: str) -> _RemoteWorker:
-        host, port = parse_address(address)
-        worker = _RemoteWorker(
-            address, sent_counter=self.perf.counter("transport.bytes_sent")
+        sock, rfile, welcome = dial(
+            address, self.token, self.connect_timeout, "worker"
         )
-        try:
-            sock = socket.create_connection(
-                (host, port), timeout=self.connect_timeout
-            )
-        except OSError as exc:
-            raise ConnectionError(
-                f"cannot reach worker {address}: {exc}"
-            ) from exc
-        worker.sock = sock
-        # one buffered reader for the connection's whole life: the
-        # handshake reply and every later frame come off the same
-        # buffer, so no read-ahead byte can be stranded
-        rfile = sock.makefile("rb")
-        try:
-            worker.send(hello_message(self.token))
-            reply = read_frame(rfile)
-        except (OSError, ValueError) as exc:
-            worker.drop()
-            raise ConnectionError(
-                f"handshake with worker {address} failed: {exc}"
-            ) from exc
-        if reply is None or reply.get("type") != "welcome":
-            detail = (reply or {}).get("error", "connection closed")
-            worker.drop()
-            raise ConnectionError(
-                f"worker {address} refused the handshake: {detail}"
-            )
-        if reply.get("protocol") != PROTOCOL_VERSION:
-            worker.drop()
-            raise ConnectionError(
-                f"worker {address} speaks protocol "
-                f"{reply.get('protocol')!r}, this client speaks "
-                f"{PROTOCOL_VERSION}; upgrade the older build"
-            )
-        sock.settimeout(None)
-        worker.capacity = max(1, int(reply.get("capacity", 1)))
+        worker = _RemoteWorker(
+            address, sock,
+            sent_counter=self.perf.counter("transport.bytes_sent"),
+        )
+        worker.capacity = max(1, int(welcome.get("capacity", 1)))
         worker.alive = True
         worker.last_recv = time.monotonic()
         # the full job table rides every connection so any worker can
@@ -1455,31 +1240,19 @@ class SharedRemotePool(WorkerPool):
         self._local_queue.put(entry)
 
     def _local_loop(self) -> None:
-        entries: dict[str, tuple] = {}
+        replicas: dict[str, tuple] = {}
         while True:
             entry = self._local_queue.get()
             if entry is None:
                 return
-            start = time.perf_counter()
-            try:
-                built = entries.get(entry.job)
-                if built is None:
-                    built = _build_entry(
-                        decode_job(self.wires[entry.job], blobs=self._blobs),
-                        copy_model=False,
-                    )
-                    entries[entry.job] = built
-                fits, delta = _evaluate_with_entry(built, entry.solutions)
-                result = ChunkResult(
-                    entry.job, entry.seq, entry.chunk, fits, delta,
-                    time.perf_counter() - start,
-                )
-            except Exception:  # lint: disable=broad-except -- local-fallback boundary: failures become error ChunkResults
-                result = ChunkResult(
-                    entry.job, entry.seq, entry.chunk, None, None,
-                    time.perf_counter() - start,
-                    error=traceback.format_exc(),
-                )
+            result = ChunkResult(
+                entry.job, entry.seq, entry.chunk, *_evaluate_chunk(
+                    replicas, entry.job,
+                    lambda: decode_job(self.wires[entry.job],
+                                       blobs=self._blobs),
+                    entry.solutions,
+                ),
+            )
             with self._lock:
                 delivered = self._pending.pop(entry.task, None)
             if delivered is not None:

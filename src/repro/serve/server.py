@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import queue
-import socket
 import tempfile
 import threading
 import time
@@ -46,32 +44,25 @@ from pathlib import Path
 
 from ..obs import MetricsEmitter, TimeSeriesStore, get_hub, merge_samples
 from ..parallel import ExecutorConfig
-from ..parallel.executor import parse_address
 from ..perf import get_perf
 from ..spec.spec import SearchSpec
 from ..spec.wire import (
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
     SERVER_OPS,
-    WIRE_VERSION,
-    error_message,
     event_message,
     fleet_status_message,
     frame_message,
-    hello_message,
     metrics_message,
     read_frame,
     reply_message,
     subscribe_message,
     subscribe_metrics_message,
-    welcome_message,
 )
+from .conn import Listener, Session, close_socket, dial
 from .scheduler import SearchScheduler
 from .store import Journal, ResultStore, result_record
 
 __all__ = ["SearchServer", "SearchClient", "ServerError"]
-
-HANDSHAKE_TIMEOUT_S = 10.0
 
 #: job lifecycle: queued → running → done | failed | cancelled
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -118,126 +109,25 @@ def _describe(job: _ServerJob) -> dict:
     }
 
 
-class _ServerSession(threading.Thread):
-    """One accepted client connection on a :class:`SearchServer`.
+class _ServerSession(Session):
+    """One client connection on a :class:`SearchServer`.
 
-    The reader thread (this thread) parses requests; a dedicated writer
-    thread drains an outbound queue, so a stalled subscriber can never
-    block the daemon's runner.  Request-level problems — unknown ops,
-    missing fields, invalid specs — get an ``ok=false`` reply and the
-    session keeps going; only stream-level corruption (bad CRC, torn
-    frame) or EOF ends it.
+    Request-level problems — unknown ops, missing fields, invalid specs
+    — get an ``ok=false`` reply and the session keeps going; only
+    stream-level corruption (bad CRC, torn frame) or EOF ends it.
+    Replies and events leave through the session's writer queue, so a
+    stalled subscriber can never block the daemon's runner.
     """
 
-    def __init__(self, server: "SearchServer", sock: socket.socket,
-                 peer) -> None:
-        super().__init__(daemon=True, name=f"repro-serve-{peer}")
-        self.server = server
-        self.sock = sock
-        self.peer = peer
-        self._out: queue.SimpleQueue = queue.SimpleQueue()
-        self._closed = False
-
-    # -- plumbing --------------------------------------------------------
-    def enqueue(self, message: dict) -> None:
-        """Queue one frame for the writer thread (never blocks)."""
-        self._out.put(message)
-
-    def close(self) -> None:
-        self._closed = True
-        self._out.put(None)
-        with contextlib.suppress(OSError):
-            self.sock.shutdown(socket.SHUT_RDWR)
-        with contextlib.suppress(OSError):
-            self.sock.close()
-
-    def _write_loop(self) -> None:
-        while True:
-            message = self._out.get()
-            if message is None or self._closed:
-                return
-            try:
-                self.sock.sendall(frame_message(message))
-            except (OSError, ValueError):
-                self.close()
-                return
-
-    # -- session ---------------------------------------------------------
-    def run(self) -> None:
-        writer = None
+    def handle(self, kind, message: dict) -> bool:
+        req = message.get("req")
         try:
-            self.sock.settimeout(HANDSHAKE_TIMEOUT_S)
-            rfile = self.sock.makefile("rb")
-            if not self._handshake(rfile):
-                return
-            self.sock.settimeout(None)
-            writer = threading.Thread(
-                target=self._write_loop, daemon=True,
-                name=f"{self.name}-write",
-            )
-            writer.start()
-            self._read_loop(rfile)
-        except (OSError, ValueError):
-            pass  # connection died or stream corrupt: session over
-        finally:
-            self.close()
-            self.server._session_done(self)
-
-    def _handshake(self, rfile) -> bool:
-        message = read_frame(rfile, self.server.max_frame)
-        if message is None or message.get("type") != "hello":
-            self._send_now(error_message("expected hello frame"))
-            return False
-        if message.get("protocol") != PROTOCOL_VERSION:
-            self._send_now(error_message(
-                f"protocol version mismatch: client speaks "
-                f"{message.get('protocol')!r}, server speaks "
-                f"{PROTOCOL_VERSION}; upgrade the older build"
-            ))
-            return False
-        if message.get("version") != WIRE_VERSION:
-            self._send_now(error_message(
-                f"unsupported wire version {message.get('version')!r} "
-                f"(server speaks {WIRE_VERSION})"
-            ))
-            return False
-        if not self.server._token_ok(message.get("token")):
-            self._send_now(error_message("bad auth token"))
-            self.server._log(f"refused {self.peer}: bad auth token")
-            return False
-        self._send_now(welcome_message(capacity=1))
-        self.server._log(f"accepted {self.peer}")
+            self.send(reply_message(req, self._handle(kind, message)))
+        except ServerError as exc:
+            self.send(reply_message(req, error=str(exc)))
+        except Exception as exc:  # lint: disable=broad-except -- session survival: a malformed request is answered, not fatal
+            self.send(reply_message(req, error=f"bad request: {exc!r}"))
         return True
-
-    def _send_now(self, message: dict) -> None:
-        with contextlib.suppress(OSError):
-            self.sock.sendall(frame_message(message))
-
-    def _read_loop(self, rfile) -> None:
-        while not self._closed:
-            message = read_frame(rfile, self.server.max_frame)
-            if message is None:
-                return  # clean EOF: client went away
-            kind = message.get("type")
-            if kind == "ping":
-                self.enqueue({"type": "pong", "t": message.get("t")})
-                continue
-            if kind == "bye":
-                return
-            req = message.get("req")
-            try:
-                payload = self._handle(kind, message)
-            except ServerError as exc:
-                self.enqueue(reply_message(req, error=str(exc)))
-                continue
-            except Exception as exc:  # lint: disable=broad-except -- session survival: a malformed request is answered, not fatal
-                # a malformed request must not kill the session: reply
-                # with the problem and keep listening
-                self.enqueue(reply_message(
-                    req, error=f"bad request: {exc!r}"
-                ))
-                continue
-            self.enqueue(reply_message(req, payload))
 
     # -- request dispatch ------------------------------------------------
     def _handle(self, kind, message: dict) -> dict:
@@ -281,7 +171,7 @@ class _ServerSession(threading.Thread):
         )
 
 
-class SearchServer:
+class SearchServer(Listener):
     """The always-on LPQ search daemon.
 
     Accepts framed-JSON client connections, queues submitted
@@ -313,6 +203,8 @@ class SearchServer:
     >>> client.close(); server.stop()
     """
 
+    session_class = _ServerSession
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -330,9 +222,7 @@ class SearchServer:
         metrics_interval: float = 0.0,
         timeseries=None,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.token = token
+        super().__init__(host, port, token, max_frame, verbose)
         if data_dir is None:
             # convenience for tests/doctests: durable only for this
             # server's lifetime — pass a real directory in production
@@ -341,8 +231,6 @@ class SearchServer:
         self.executor_config = executor or ExecutorConfig()
         self.target_chunk_s = target_chunk_s
         self.max_jobs_per_round = max_jobs_per_round
-        self.verbose = verbose
-        self.max_frame = max_frame
         self.perf = perf if perf is not None else get_perf()
         #: test knob: ``crash_hook(server, job, info)`` runs at every
         #: batch boundary; returning true simulates a SIGKILL there —
@@ -369,13 +257,10 @@ class SearchServer:
         self._jobs: dict[str, _ServerJob] = {}
         self._by_digest: dict[str, str] = {}
         self._subs: dict[str, set[_ServerSession]] = {}
-        self._sessions: set[_ServerSession] = set()
         self._lock = threading.RLock()
         self._wake = threading.Condition(self._lock)
         self._order = itertools.count()
         self._autoname = itertools.count(1)
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
         self._runner: threading.Thread | None = None
         self._closed = False
         self._suppress = False  # kill(): journal nothing further
@@ -391,16 +276,7 @@ class SearchServer:
                                perf=self.perf)
         self.store = ResultStore(self.data_dir / "results", perf=self.perf)
         self._recover()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(32)
-        self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True,
-            name="repro-serve-accept",
-        )
-        self._accept_thread.start()
+        self.listen()
         self._runner = threading.Thread(
             target=self._run_loop, daemon=True, name="repro-serve-runner",
         )
@@ -421,11 +297,6 @@ class SearchServer:
             )
             self._emitter.start()
         return self
-
-    @property
-    def address(self) -> str:
-        host, port = self._listener.getsockname()[:2]
-        return f"{host}:{port}"
 
     def stop(self) -> None:
         """Graceful shutdown: interrupt the running round at the next
@@ -450,7 +321,6 @@ class SearchServer:
                 if job.state == "running" and job.handle is not None:
                     job.handle.cancel()
             self._wake.notify_all()
-            sessions = list(self._sessions)
         if self._hub_unsubscribe is not None:
             self._hub_unsubscribe()
             self._hub_unsubscribe = None
@@ -459,11 +329,7 @@ class SearchServer:
             # connected and into the time series) before tearing down
             self._emitter.stop()
             self._emitter = None
-        if self._listener is not None:
-            with contextlib.suppress(OSError):
-                self._listener.close()
-        for session in sessions:
-            session.close()
+        super().stop()
         if self._runner is not None:
             self._runner.join(timeout=30.0)
         if self.journal is not None:
@@ -471,11 +337,6 @@ class SearchServer:
         if self.timeseries is not None:
             self.timeseries.close()
         self._log("server stopped")
-
-    def serve_forever(self) -> None:
-        """Block until the server is stopped (CLI main loop)."""
-        while not self._closed:
-            time.sleep(0.2)
 
     def __enter__(self) -> "SearchServer":
         return self if self._started else self.start()
@@ -790,7 +651,7 @@ class SearchServer:
             return
         message = event_message(job.name, kind, data, final=final)
         for session in targets:
-            session.enqueue(message)
+            session.send(message)
 
     # -- live telemetry (repro.obs) ---------------------------------------
     def fleet_status(self) -> dict:
@@ -842,9 +703,10 @@ class SearchServer:
         return {"enabled": enabled, "interval_s": self.metrics_interval}
 
     def _metrics_gauges(self) -> dict:
+        sessions = len(self.sessions())
         with self._lock:
             gauges = {
-                "sessions": len(self._sessions),
+                "sessions": sessions,
                 "metric_subscribers": len(self._metric_subs),
             }
             for state in JOB_STATES:
@@ -896,43 +758,14 @@ class SearchServer:
             with contextlib.suppress(OSError, ValueError):
                 self.timeseries.append(record)
         for session in subscribers:
-            session.enqueue(message)
-
-    # -- plumbing --------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                sock, peer = self._listener.accept()
-            except OSError:
-                return
-            session = _ServerSession(self, sock, peer)
-            with self._lock:
-                if self._closed:
-                    session.close()
-                    return
-                self._sessions.add(session)
-            session.start()
+            session.send(message)
 
     def _session_done(self, session: _ServerSession) -> None:
+        super()._session_done(session)
         with self._lock:
-            self._sessions.discard(session)
             self._metric_subs.discard(session)
             for subscribers in self._subs.values():
                 subscribers.discard(session)
-
-    def _token_ok(self, token) -> bool:
-        if self.token is None:
-            return True
-        import hmac
-
-        return isinstance(token, str) and hmac.compare_digest(
-            token, self.token
-        )
-
-    def _log(self, message: str) -> None:
-        if self.verbose:
-            print(f"[serve {self.host}:{self.port}] {message}",
-                  flush=True)
 
 
 class SearchClient:
@@ -957,7 +790,7 @@ class SearchClient:
         #: before giving up (a restarting daemon is back within this)
         self.reconnect_s = reconnect_s
         self._lock = threading.RLock()
-        self._sock: socket.socket | None = None
+        self._sock = None
         self._rfile = None
         self._req = itertools.count(1)
         self._events: list[dict] = []
@@ -965,44 +798,39 @@ class SearchClient:
 
     # -- connection ------------------------------------------------------
     def _ensure(self) -> None:
-        if self._sock is not None:
-            return
-        host, port = parse_address(self.address)
-        try:
-            sock = socket.create_connection(
-                (host, port), timeout=self.connect_timeout
+        if self._sock is None:
+            self._sock, self._rfile, _ = dial(
+                self.address, self.token, self.connect_timeout, "server"
             )
-        except OSError as exc:
-            raise ConnectionError(
-                f"cannot reach search server {self.address}: {exc}"
-            ) from exc
-        rfile = sock.makefile("rb")
-        try:
-            sock.sendall(frame_message(hello_message(self.token)))
-            reply = read_frame(rfile)
-        except (OSError, ValueError) as exc:
-            with contextlib.suppress(OSError):
-                sock.close()
-            raise ConnectionError(
-                f"handshake with server {self.address} failed: {exc}"
-            ) from exc
-        if reply is None or reply.get("type") != "welcome":
-            detail = (reply or {}).get("error", "connection closed")
-            with contextlib.suppress(OSError):
-                sock.close()
-            raise ConnectionError(
-                f"server {self.address} refused the handshake: {detail}"
-            )
-        sock.settimeout(None)
-        self._sock, self._rfile = sock, rfile
 
     def _drop(self) -> None:
         if self._sock is not None:
-            with contextlib.suppress(OSError):
-                self._sock.close()
+            close_socket(self._sock)
         self._sock = self._rfile = None
         self._events.clear()  # buffered events died with the socket
         self._metrics.clear()
+
+    def _lost(self, exc: Exception) -> ConnectionError:
+        self._drop()
+        return ConnectionError(f"lost connection to {self.address}: {exc}")
+
+    def _pump(self) -> dict:
+        """Read one frame, buffering ``event`` and ``metrics`` frames
+        for :meth:`events` and :meth:`metrics_stream`; the caller holds
+        the lock.  Transport loss drops the connection and raises
+        ``ConnectionError``."""
+        try:
+            frame = read_frame(self._rfile)
+            if frame is None:
+                raise ValueError("server closed the connection")
+        except (OSError, ValueError) as exc:
+            raise self._lost(exc) from exc
+        kind = frame.get("type")
+        if kind == "event":
+            self._events.append(frame)
+        elif kind == "metrics":
+            self._metrics.append(frame)
+        return frame
 
     def close(self) -> None:
         """Politely end the session (idempotent)."""
@@ -1023,30 +851,19 @@ class SearchClient:
         with self._lock:
             self._ensure()
             req = next(self._req)
-            message = dict(message, req=req)
             try:
-                self._sock.sendall(frame_message(message))
-                while True:
-                    frame = read_frame(self._rfile)
-                    if frame is None:
-                        raise ValueError("server closed the connection")
-                    kind = frame.get("type")
-                    if kind == "reply" and frame.get("req") == req:
-                        if not frame.get("ok", False):
-                            raise ServerError(
-                                frame.get("error") or "request failed"
-                            )
-                        return frame
-                    if kind == "event":
-                        self._events.append(frame)
-                    elif kind == "metrics":
-                        self._metrics.append(frame)
-                    # pongs and stray replies are skipped
+                self._sock.sendall(frame_message(dict(message, req=req)))
             except (OSError, ValueError) as exc:
-                self._drop()
-                raise ConnectionError(
-                    f"lost connection to {self.address}: {exc}"
-                ) from exc
+                raise self._lost(exc) from exc
+            while True:
+                frame = self._pump()
+                # pongs and stray replies are skipped
+                if frame.get("type") == "reply" and frame.get("req") == req:
+                    if not frame.get("ok", False):
+                        raise ServerError(
+                            frame.get("error") or "request failed"
+                        )
+                    return frame
 
     # -- the service API -------------------------------------------------
     def submit(self, spec, priority: int = 0,
@@ -1088,27 +905,15 @@ class SearchClient:
             }, final=True)
             return
         with self._lock:
-            try:
-                while True:
-                    while self._events:
-                        frame = self._events.pop(0)
-                        if frame.get("job") != job:
-                            continue
-                        yield frame
-                        if frame.get("final"):
-                            return
-                    frame = read_frame(self._rfile)
-                    if frame is None:
-                        raise ValueError("server closed the connection")
-                    if frame.get("type") == "event":
-                        self._events.append(frame)
-                    elif frame.get("type") == "metrics":
-                        self._metrics.append(frame)
-            except (OSError, ValueError) as exc:
-                self._drop()
-                raise ConnectionError(
-                    f"lost connection to {self.address}: {exc}"
-                ) from exc
+            while True:
+                while self._events:
+                    frame = self._events.pop(0)
+                    if frame.get("job") != job:
+                        continue
+                    yield frame
+                    if frame.get("final"):
+                        return
+                self._pump()
 
     def fleet_status(self) -> dict:
         """One-shot fleet snapshot: every job's state, scheduler queue
@@ -1130,22 +935,10 @@ class SearchClient:
                 "run_server.py --metrics-interval 1.0)"
             )
         with self._lock:
-            try:
-                while True:
-                    while self._metrics:
-                        yield self._metrics.pop(0)
-                    frame = read_frame(self._rfile)
-                    if frame is None:
-                        raise ValueError("server closed the connection")
-                    if frame.get("type") == "metrics":
-                        self._metrics.append(frame)
-                    elif frame.get("type") == "event":
-                        self._events.append(frame)
-            except (OSError, ValueError) as exc:
-                self._drop()
-                raise ConnectionError(
-                    f"lost connection to {self.address}: {exc}"
-                ) from exc
+            while True:
+                while self._metrics:
+                    yield self._metrics.pop(0)
+                self._pump()
 
     def wait(self, job: str, on_event=None, timeout: float | None = None):
         """Block until ``job`` finishes; returns its result record.

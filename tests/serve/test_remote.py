@@ -176,6 +176,23 @@ class TestHandshake:
             finally:
                 pool.close()
 
+    def test_first_frame_is_welcome_while_metrics_stream(self):
+        """A session joins the broadcast set only after its handshake:
+        a dialer that waits before saying hello still reads ``welcome``
+        first, never a ``metrics`` frame."""
+        import socket as socket_mod
+
+        from repro.spec.wire import read_frame
+
+        with WorkerServer(metrics_interval=0.05) as server:
+            host, port = parse_address(server.address)
+            with socket_mod.create_connection((host, port), timeout=10) \
+                    as sock:
+                time.sleep(0.3)
+                sock.sendall(frame_message(hello_message(None)))
+                reply = read_frame(sock.makefile("rb"))
+        assert reply["type"] == "welcome"
+
     def test_unreachable_worker_fails_with_address(self):
         results: queue.SimpleQueue = queue.SimpleQueue()
         with pytest.raises(ConnectionError, match="127.0.0.1:9"):
@@ -566,10 +583,10 @@ class TestResilience:
     def test_client_rejects_stale_build_with_context(self, monkeypatch):
         """The client side of the same refusal: the ConnectionError
         names the worker address and says what to do."""
-        import repro.serve.remote as remote_mod
+        import repro.serve.conn as conn_mod
 
         monkeypatch.setattr(
-            remote_mod, "hello_message",
+            conn_mod, "hello_message",
             lambda token: dict(hello_message(token), protocol=999),
         )
         with WorkerServer() as server:
